@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +25,9 @@ from .errors import (
 )
 from .generators import suite
 from .homology import (
-    is_buchsbaum,
-    is_buchsbaum_star,
+    LinkScan,
     is_doubly_cm,
     maximal_interval_classes,
-    poset_is_cohen_macaulay,
     vertex_link_map,
 )
 from .hvectors import cubical_h, simplicial_h, toric_h
@@ -118,7 +117,7 @@ class BasisSelection:
 
 
 class _InstanceData:
-    """Shared per-instance facts: hypotheses, Möbius values, atom counts."""
+    """Shared per-instance facts: hypotheses, Möbius values, atom counts, link scans."""
 
     def __init__(self, P: FinitePoset, fld: FieldSpec):
         self.P = P
@@ -137,7 +136,8 @@ class _InstanceData:
         verdict = is_lower_eulerian(P)
         self.lower_eulerian = bool(verdict)
         self.le_witness = verdict.witness if not verdict else None
-        self.cm, self.cm_witness = poset_is_cohen_macaulay(P, fld)
+        self.pbar = LinkScan(reduced_order_complex(P), fld)
+        self.cm, self.cm_witness = self.pbar.cohen_macaulay()
         self.graded, self.rank = is_graded(P)
         self.simplicial = is_simplicial_poset(P)
         self.cubical = is_cubical_poset(P)
@@ -159,6 +159,11 @@ class _InstanceData:
         Q = self.P.remove_maximal()
         R = Q.remove_atoms()
         return Q, R
+
+    @cached_property
+    def qbar(self):
+        Q, _ = self.truncations()
+        return LinkScan(order_complex(Q.remove_min()), self.fld)
 
 
 def _na(check_id, anchor, reason):
@@ -601,7 +606,7 @@ def check_truncation_structure(data: _InstanceData):
     bottom = P.minimum()
     Q, _ = data.truncations()
     q_bar = Q.remove_min()
-    delta_qbar = order_complex(q_bar)
+    delta_qbar = data.qbar.delta
     recs = []
 
     interval_ok = True
@@ -613,11 +618,11 @@ def check_truncation_structure(data: _InstanceData):
             break
     recs.append(_hypothesis_record(ids[0][0], ids[0][1], interval_ok, interval_wit))
 
-    buch_ok, buch_wit = is_buchsbaum(reduced_order_complex(P), fld)
+    buch_ok, buch_wit = data.pbar.buchsbaum()
     recs.append(_hypothesis_record(ids[1][0], ids[1][1], buch_ok, buch_wit))
 
     if interval_ok:
-        dcm_ok, dcm_wit = is_doubly_cm(delta_qbar, fld)
+        dcm_ok, dcm_wit = data.qbar.doubly_cm()
         recs.append(
             CheckRecord(
                 ids[2][0], ids[2][1], dcm_ok, True,
@@ -628,7 +633,7 @@ def check_truncation_structure(data: _InstanceData):
         recs.append(_na(ids[2][0], ids[2][1], "interval hypothesis failed"))
 
     if interval_ok and buch_ok:
-        bs_ok, bs_wit = is_buchsbaum_star(delta_qbar, fld)
+        bs_ok, bs_wit = data.qbar.buchsbaum_star()
         recs.append(
             CheckRecord(
                 ids[3][0], ids[3][1], bs_ok, True,
@@ -652,7 +657,7 @@ def check_truncation_structure(data: _InstanceData):
         )
     )
 
-    delta_pbar = reduced_order_complex(P)
+    delta_pbar = data.pbar.delta
     transversal = set(data.maximals)
     unique = all(
         len(transversal.intersection(f)) == 1 for f in delta_pbar.facets

@@ -10,12 +10,15 @@ import argparse
 import json
 import os
 import sys
+from math import comb
+
+import numpy as np
 
 from . import generators
 from .audit import run_suite
 from .complexes import complex_from_dict, complex_to_dict, reduced_order_complex
-from .errors import PosetLabError
-from .homology import classify, is_buchsbaum_star, poset_is_cohen_macaulay, is_cohen_macaulay, reduced_homology
+from .errors import PosetLabError, SizeLimitError
+from .homology import classify, is_buchsbaum_star, is_cohen_macaulay, reduced_homology
 from .hvectors import cubical_h, short_cubical_h, simplicial_h, toric_h
 from .linalg import DEFAULT_PRIME, FieldSpec
 from .poset import (
@@ -53,6 +56,8 @@ def _load_instance(path: str):
         raise UsageError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}")
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object")
     if "covers" in data:
         return poset_from_dict(data)
     if "facets" in data:
@@ -62,6 +67,31 @@ def _load_instance(path: str):
 
 class UsageError(Exception):
     pass
+
+
+# The largest dense boundary matrix a homology command may build from a file.
+MAX_BOUNDARY_CELLS = 50_000_000
+
+
+def _homology_complex(instance):
+    """The complex homology runs on, or SizeLimitError before it is built when
+    its face counts (chain counts of a poset minus its minimum; for facets, a
+    binomial bound) give a boundary matrix over MAX_BOUNDARY_CELLS."""
+    if isinstance(instance, FinitePoset):
+        lt = instance.leq_matrix.astype(float)
+        np.fill_diagonal(lt, 0)
+        counts, chains = [1.0], np.ones(len(lt))
+        chains[instance.index(instance.minimum())] = 0
+        while chains.any():
+            counts.append(chains.sum())
+            chains = lt.T @ chains
+    else:
+        sizes = [len(f) for f in instance.facets]
+        counts = [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
+    cells, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
+    if cells > MAX_BOUNDARY_CELLS:
+        raise SizeLimitError(f"a {rows:.0f} x {cols:.0f} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
+    return reduced_order_complex(instance) if isinstance(instance, FinitePoset) else instance
 
 
 def _field_from(args) -> FieldSpec:
@@ -151,16 +181,14 @@ def cmd_compute(args) -> int:
             return 0
         payload = report.to_dict()
     elif inv == "homology":
-        delta = instance if not is_poset else reduced_order_complex(instance)
-        report = reduced_homology(delta, fld)
+        report = reduced_homology(_homology_complex(instance), fld)
         payload = {
             "name": instance.name,
             "field": fld.characteristic,
             "betti": {str(k): v for k, v in sorted(report.betti.items())},
         }
     elif inv == "classify":
-        delta = instance if not is_poset else reduced_order_complex(instance)
-        classes = classify(delta, fld)
+        classes = classify(_homology_complex(instance), fld)
         payload = {
             "name": instance.name,
             "field": fld.characteristic,
@@ -192,13 +220,9 @@ def cmd_check(args) -> int:
         result = bool(verdict)
         witness = verdict.witness if not result else None
     elif pred == "cm":
-        if is_poset:
-            result, witness = poset_is_cohen_macaulay(instance, fld)
-        else:
-            result, witness = is_cohen_macaulay(instance, fld)
+        result, witness = is_cohen_macaulay(_homology_complex(instance), fld)
     elif pred == "buchsbaum-star":
-        delta = instance if not is_poset else reduced_order_complex(instance)
-        result, witness = is_buchsbaum_star(delta, fld)
+        result, witness = is_buchsbaum_star(_homology_complex(instance), fld)
     elif pred == "simplicial":
         if not is_poset:
             raise UsageError("simplicial applies to posets")

@@ -17,7 +17,7 @@ from .errors import (
     PosetLabError,
     UnknownVertexError,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, json_list
 
 
 def _norm_face(face):
@@ -266,6 +266,7 @@ def complex_to_dict(c: SimplicialComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
+    facets = json_list(data.get("facets"), "facets", list)
     return SimplicialComplex(
-        [tuple(f) for f in data["facets"]], name=data.get("name", "complex")
+        [json_list(f, "facet") for f in facets], name=data.get("name", "complex")
     )

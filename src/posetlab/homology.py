@@ -4,11 +4,25 @@ Orientation convention: faces are sorted vertex tuples, boundary signs come
 from removal position, and the empty face sits in degree -1 so homology is
 reduced.  All bases (cycle representatives, induced-map matrices) are the
 deterministic output of left-to-right column reduction.
+
+The classifiers read one `LinkScan` per complex, and two identities spare
+them most link computations:
+
+- Doubly CM by reuse: lk_{Δ-v}(σ) = lk_Δ(σ) - v.  When σ∪{v} is not a face,
+  this is lk_Δ(σ) itself, which the Cohen-Macaulay scan already passed; only
+  the faces σ of lk_Δ(v) need new homology.  A CM complex is pure, so Δ - v
+  drops dimension exactly when v lies in every facet.
+- Buchsbaum* by excision: H_d(Δ, cost σ) ≅ H̃_{d-|σ|}(lk σ) for pure Δ of
+  dimension d, and neither Δ nor the pair has d-boundaries.  So the map from
+  H_d(Δ) has the rank of the rows of a top cycle basis that index d-faces
+  containing σ, and its codomain has the link's top Betti number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -295,137 +309,116 @@ class ComplexClasses:
     witnesses: dict = dataclass_field(default_factory=dict)
 
 
-def _link_scan(delta, fld):
-    """One sweep of link homology over all faces.
+def _link_homology(link, fld):
+    """(lowest degree below the top with nonzero homology or None, top Betti number)."""
+    ccr = chain_complex(link, fld)
+    bad = next((i for i in range(-1, link.dim) if ccr.betti(i) != 0), None)
+    return bad, ccr.betti(link.dim)
 
-    Returns (cm_ok, cm_wit, buch_ok, buch_wit, gor_ok, gor_wit); the
-    Buchsbaum part covers only the nonempty-face condition plus purity.
+
+class LinkScan:
+    """Link homology of every face of one complex, computed once, on first use.
+
+    Each face keeps only the two integers of `_link_homology`, in face order,
+    so each classifier's (flag, witness) is what a scan of its own would give.
     """
-    cm_ok, cm_wit = True, None
-    gor_ok, gor_wit = True, None
-    buch_ok = delta.is_pure()
-    buch_wit = None if buch_ok else ("not pure", None)
-    for face in delta.faces():
-        link = delta.link(face)
-        ccr = chain_complex(link, fld)
-        bad = next(
-            (i for i in range(-1, link.dim) if ccr.betti(i) != 0), None
-        )
-        if bad is not None:
-            if cm_ok:
-                cm_ok, cm_wit = False, (face, bad)
-            if buch_ok and face:
-                buch_ok, buch_wit = False, (face, bad)
-        if gor_ok and (bad is not None or ccr.betti(link.dim) != 1):
-            gor_ok = False
-            gor_wit = (face, bad if bad is not None else link.dim)
-    return cm_ok, cm_wit, buch_ok, buch_wit, gor_ok, gor_wit
+
+    def __init__(self, delta: SimplicialComplex, fld: FieldSpec):
+        self.delta = delta
+        self.fld = fld
+
+    @cached_property
+    def records(self):
+        return [(f, *_link_homology(self.delta.link(f), self.fld)) for f in self.delta.faces()]
+
+    def cohen_macaulay(self):
+        """Vanishing link homology below top dimension for every face incl. ();
+        the witness is the first failing (face, degree)."""
+        hit = next(((f, bad) for f, bad, _ in self.records if bad is not None), None)
+        return hit is None, hit
+
+    def buchsbaum(self):
+        """Pure, with the link condition required only of nonempty faces."""
+        if not self.delta.is_pure():
+            return False, ("not pure", None)
+        hit = next(((f, bad) for f, bad, _ in self.records if f and bad is not None), None)
+        return hit is None, hit
+
+    def gorenstein_star(self):
+        """Cohen-Macaulay with every link's top Betti number equal to 1."""
+        for f, bad, top in self.records:
+            if bad is not None or top != 1:
+                link_dim = max(len(g) for g in self.delta.facets if set(f) <= set(g)) - len(f) - 1
+                return False, (f, link_dim if bad is None else bad)
+        return True, None
+
+    def doubly_cm(self):
+        """Cohen-Macaulay, and so is every vertex deletion, in the same dimension."""
+        ok, wit = self.cohen_macaulay()
+        if not ok:
+            return False, wit
+        delta = self.delta
+        for v in delta.vertices:
+            if all(v in f for f in delta.facets):
+                return False, (v, "dimension drops")
+            deleted = delta.delete_vertices([v])
+            for sigma in delta.link((v,)).faces():
+                bad, _ = _link_homology(deleted.link(sigma), self.fld)
+                if bad is not None:
+                    return False, (v, (sigma, bad))
+        return True, None
+
+    def buchsbaum_star(self):
+        """Buchsbaum, plus top homology surjects onto every contrastar pair;
+        the witness is the first (face, rank of that map) that falls short."""
+        ok, wit = self.buchsbaum()
+        if not ok:
+            return False, wit
+        ccr = chain_complex(self.delta, self.fld)
+        d = self.delta.dim
+        cycles = ccr.cycle_space(d)
+        rows = {}
+        for j, facet in enumerate(ccr.faces.get(d, ())):
+            for k in range(1, len(facet) + 1):
+                for sub in combinations(facet, k):
+                    rows.setdefault(sub, []).append(j)
+        for f, _, top in self.records:
+            if f and top:
+                rank = linalg.rank(cycles[rows[f]], self.fld.characteristic)
+                if rank < top:
+                    return False, (f, rank)
+        return True, None
 
 
 def is_cohen_macaulay(delta: SimplicialComplex, fld: FieldSpec):
-    """Vanishing link homology below top dimension for every face incl. ().
-
-    Returns (flag, witness); the witness is the first failing (face, degree).
-    """
-    cm_ok, cm_wit, *_ = _link_scan(delta, fld)
-    return cm_ok, cm_wit
+    """`LinkScan.cohen_macaulay` of a fresh scan."""
+    return LinkScan(delta, fld).cohen_macaulay()
 
 
 def is_buchsbaum(delta: SimplicialComplex, fld: FieldSpec):
-    """Pure, with the link condition required only of nonempty faces."""
-    if not delta.is_pure():
-        return False, ("not pure", None)
-    for face in delta.faces():
-        if not face:
-            continue
-        link = delta.link(face)
-        ccr = chain_complex(link, fld)
-        bad = next((i for i in range(-1, link.dim) if ccr.betti(i) != 0), None)
-        if bad is not None:
-            return False, (face, bad)
-    return True, None
+    """`LinkScan.buchsbaum` of a fresh scan."""
+    return LinkScan(delta, fld).buchsbaum()
 
 
 def is_doubly_cm(delta: SimplicialComplex, fld: FieldSpec):
-    """Cohen-Macaulay, and so is every vertex deletion, in the same dimension."""
-    cm_ok, cm_wit = is_cohen_macaulay(delta, fld)
-    if not cm_ok:
-        return False, cm_wit
-    for v in delta.vertices:
-        deleted = delta.delete_vertices([v])
-        if deleted.dim != delta.dim:
-            return False, (v, "dimension drops")
-        ok, wit = is_cohen_macaulay(deleted, fld)
-        if not ok:
-            return False, (v, wit)
-    return True, None
-
-
-def _relative_surjectivity(delta, src_ccr, face, fld):
-    dst = relative_chain_complex(delta, delta.contrastar(face), fld)
-    d = delta.dim
-    return _induced_report(
-        src_ccr, d, dst, d, _projection_matrix(src_ccr, dst, d), fld.characteristic
-    )
+    """`LinkScan.doubly_cm` of a fresh scan."""
+    return LinkScan(delta, fld).doubly_cm()
 
 
 def is_buchsbaum_star(delta: SimplicialComplex, fld: FieldSpec):
-    """Buchsbaum, plus top homology surjects onto every contrastar pair."""
-    buch_ok, buch_wit = is_buchsbaum(delta, fld)
-    if not buch_ok:
-        return False, buch_wit
-    src = chain_complex(delta, fld)
-    for face in delta.faces():
-        if not face:
-            continue
-        report = _relative_surjectivity(delta, src, face, fld)
-        if not report.surjective:
-            return False, (face, report.rank)
-    return True, None
+    """`LinkScan.buchsbaum_star` of a fresh scan."""
+    return LinkScan(delta, fld).buchsbaum_star()
 
 
 def classify(delta: SimplicialComplex, fld: FieldSpec) -> ComplexClasses:
     """Cohen-Macaulay, Buchsbaum, doubly CM, Gorenstein*, Buchsbaum* flags
-    with a first-failure witness per property."""
-    witnesses = {}
-    cm, cm_wit, buch, buch_wit, gor, gor_wit = _link_scan(delta, fld)
-    if cm_wit:
-        witnesses["cohen_macaulay"] = cm_wit
-    if buch_wit:
-        witnesses["buchsbaum"] = buch_wit
-    if gor_wit:
-        witnesses["gorenstein_star"] = gor_wit
-
-    doubly = cm
-    if cm:
-        for v in delta.vertices:
-            deleted = delta.delete_vertices([v])
-            if deleted.dim != delta.dim:
-                doubly, wit = False, (v, "dimension drops")
-            else:
-                ok, sub_wit = is_cohen_macaulay(deleted, fld)
-                doubly, wit = ok, (v, sub_wit)
-            if not doubly:
-                witnesses["doubly_cm"] = wit
-                break
-    elif cm_wit:
-        witnesses["doubly_cm"] = cm_wit
-
-    bstar = buch
-    if buch:
-        src = chain_complex(delta, fld)
-        for face in delta.faces():
-            if not face:
-                continue
-            report = _relative_surjectivity(delta, src, face, fld)
-            if not report.surjective:
-                bstar = False
-                witnesses["buchsbaum_star"] = (face, report.rank)
-                break
-    elif buch_wit:
-        witnesses["buchsbaum_star"] = buch_wit
-
-    return ComplexClasses(cm, buch, doubly, gor, bstar, witnesses)
+    with a first-failure witness per property, all from one link scan."""
+    scan = LinkScan(delta, fld)
+    names = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
+    results = {name: getattr(scan, name)() for name in names}
+    flags = {name: ok for name, (ok, _) in results.items()}
+    witnesses = {name: wit for name, (_, wit) in results.items() if wit is not None}
+    return ComplexClasses(**flags, witnesses=witnesses)
 
 
 def poset_is_cohen_macaulay(P: FinitePoset, fld: FieldSpec):

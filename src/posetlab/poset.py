@@ -22,6 +22,7 @@ from .errors import (
     NotComparableError,
     NotLocallyGradedError,
     NotLowerGradedError,
+    PosetLabError,
     RankCollapseError,
     RedundantCoverError,
     UnknownElementError,
@@ -789,9 +790,22 @@ def poset_to_dict(P: FinitePoset) -> dict:
     }
 
 
+def json_list(entry, what, item=str) -> tuple:
+    """A list from a parsed JSON file, as a tuple, when every entry is of type
+    `item`; anything else raises a PosetLabError that names the bad entry."""
+    if not isinstance(entry, list):
+        raise PosetLabError(f"{what} {entry!r} is not a list")
+    bad = [x for x in entry if not isinstance(x, item)]
+    if bad:
+        kind = "string id" if item is str else item.__name__
+        raise PosetLabError(f"{what} entry {bad[0]!r} is not a {kind}")
+    return tuple(entry)
+
+
 def poset_from_dict(data: dict) -> FinitePoset:
-    return FinitePoset.from_covers(
-        data["elements"],
-        [tuple(c) for c in data["covers"]],
-        name=data.get("name", "poset"),
-    )
+    elements = json_list(data.get("elements"), "elements")
+    covers = [json_list(c, "cover") for c in json_list(data.get("covers"), "covers", list)]
+    bad = [c for c in covers if len(c) != 2]
+    if bad:
+        raise PosetLabError(f"cover {list(bad[0])!r} is not a pair of element ids")
+    return FinitePoset.from_covers(elements, covers, name=data.get("name", "poset"))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -190,3 +191,42 @@ def test_generate_rejects_wrong_parameter_counts(capsys):
     assert run_cli("generate", "grid", "2") == 2
     assert run_cli("generate", "boolean") == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, token",
+    [
+        ({"name": "m", "elements": ["lonely", "b"], "covers": [["lonely"]]}, "lonely"),
+        ({"name": "m", "elements": ["a", 4711], "covers": [["a", 4711]]}, "4711"),
+        ({"name": "m", "elements": [4711], "covers": []}, "4711"),
+        ({"name": "m", "elements": ["a"], "covers": "a"}, "covers"),
+        ({"name": "m", "facets": [["a", 4711]]}, "4711"),
+        ({"name": "m", "facets": ["abc"]}, "abc"),
+        (["covers"], "JSON object"),
+    ],
+)
+def test_schema_errors_exit_2_and_name_the_entry(tmp_path, capsys, payload, token):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    assert run_cli("compute", "chi", str(f)) == 2
+    err = capsys.readouterr().err
+    assert token in err and "Traceback" not in err
+
+
+def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):
+    cb5 = tmp_path / "cb5.json"
+    assert run_cli("generate", "cube-boundary", "5", "-o", str(cb5)) == 0
+    huge = tmp_path / "simplex.json"
+    huge.write_text(json.dumps({"facets": [[f"v{i}" for i in range(30)]]}))
+    start = time.perf_counter()
+    for argv in (
+        ("compute", "homology"),
+        ("compute", "classify"),
+        ("check", "cm"),
+        ("check", "buchsbaum-star"),
+    ):
+        assert run_cli(*argv, str(cb5)) == 2
+        assert "8160 x 9600 boundary matrix exceeds the size guard" in capsys.readouterr().err
+    assert run_cli("compute", "homology", str(huge)) == 2
+    assert "size guard" in capsys.readouterr().err
+    assert time.perf_counter() - start < 10
