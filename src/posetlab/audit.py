@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .complexes import order_complex, reduced_order_complex, open_interval_complex
+from .complexes import order_complex, reduced_order_complex
 from .errors import (
     BasisNotFoundError,
     EmptyPosetError,
@@ -26,7 +26,6 @@ from .errors import (
 from .generators import suite
 from .homology import (
     LinkScan,
-    is_doubly_cm,
     maximal_interval_classes,
     vertex_link_map,
 )
@@ -40,6 +39,7 @@ from .poset import (
     is_lower_eulerian,
     is_meet_semilattice,
     is_simplicial_poset,
+    jsonable,
     mobius_from,
     rank_alternating_sum,
     rank_profile,
@@ -49,20 +49,6 @@ from .poset import (
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -78,10 +64,10 @@ class CheckRecord:
         return {
             "id": self.check_id,
             "anchor": self.anchor,
-            "lhs": _jsonable(self.lhs),
-            "rhs": _jsonable(self.rhs),
+            "lhs": jsonable(self.lhs),
+            "rhs": jsonable(self.rhs),
             "verdict": self.verdict,
-            "witness": _jsonable(self.witness),
+            "witness": jsonable(self.witness),
         }
 
 
@@ -601,9 +587,7 @@ def check_truncation_structure(data: _InstanceData):
         reason = _skip_reason(data) or "rank below 2"
         return [_na(cid, anch, reason) for cid, anch in ids]
 
-    P = data.P
     fld = data.fld
-    bottom = P.minimum()
     Q, _ = data.truncations()
     q_bar = Q.remove_min()
     delta_qbar = data.qbar.delta
@@ -612,7 +596,7 @@ def check_truncation_structure(data: _InstanceData):
     interval_ok = True
     interval_wit = None
     for y in data.maximals:
-        ok, wit = is_doubly_cm(open_interval_complex(P, bottom, y), fld)
+        ok, wit = data.pbar.vertex_link(y).doubly_cm()
         if not ok:
             interval_ok, interval_wit = False, (y, wit)
             break

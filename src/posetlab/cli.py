@@ -27,6 +27,7 @@ from .poset import (
     is_lower_eulerian,
     is_meet_semilattice,
     is_simplicial_poset,
+    jsonable,
     mobius,
     poset_from_dict,
     poset_to_dict,
@@ -70,6 +71,9 @@ class UsageError(Exception):
 
 
 # The largest dense boundary matrix a homology command may build from a file.
+# The guard bounds this dense estimate for all four commands, although ranks
+# are now sparse and only `compute classify` and `check buchsbaum-star` build
+# a dense matrix, in the top degree.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
@@ -244,19 +248,9 @@ def cmd_check(args) -> int:
         "result": bool(result),
     }
     if witness is not None:
-        payload["witness"] = json.loads(_dump(_to_plain(witness)))
+        payload["witness"] = jsonable(witness)
     _emit(_dump(payload), args.output)
     return 0 if result else 1
-
-
-def _to_plain(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _to_plain(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    return str(obj)
 
 
 def cmd_audit(args) -> int:

@@ -3,7 +3,13 @@
 Orientation convention: faces are sorted vertex tuples, boundary signs come
 from removal position, and the empty face sits in degree -1 so homology is
 reduced.  All bases (cycle representatives, induced-map matrices) are the
-deterministic output of left-to-right column reduction.
+deterministic output of dense left-to-right column reduction.
+
+Betti numbers need only ranks, and those come from sparse column reduction
+with clearing: a pivot row i of the reduced boundary from degree k+1 marks a
+k-face whose boundary column reduces to zero (R_{k+1}[j] = ±σ_i + lower terms
+and ∂R_{k+1}[j] = 0 put ∂σ_i in the span of earlier columns), so it is
+skipped.  No dense matrix is built for a rank.
 
 The classifiers read one `LinkScan` per complex, and two identities spare
 them most link computations:
@@ -55,7 +61,7 @@ class ChainComplexRep:
         }
         self.degrees = sorted(faces_by_degree)
         self._boundary = {}
-        self._rank = {}
+        self._pivots = {}
         self._hbasis = {}
 
     def size(self, k):
@@ -65,24 +71,38 @@ class ChainComplexRep:
         """Matrix of the boundary map from degree k to degree k-1."""
         if k in self._boundary:
             return self._boundary[k]
-        rows = self.size(k - 1)
-        cols = self.size(k)
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        if rows and cols:
-            below = self.index[k - 1]
+        mat = np.zeros((self.size(k - 1), self.size(k)), dtype=np.int64)
+        if mat.size:
             for j, face in enumerate(self.faces[k]):
-                for pos in range(len(face)):
-                    sub = face[:pos] + face[pos + 1 :]
-                    i = below.get(sub)
-                    if i is not None:
-                        mat[i, j] = 1 if pos % 2 == 0 else self.p - 1
+                for i, sign in self._column(k, face).items():
+                    mat[i, j] = sign
         self._boundary[k] = mat
         return mat
 
+    def _column(self, k, face):
+        """Sparse column of the boundary of one k-face: {row in degree k-1: sign}."""
+        below = self.index[k - 1]
+        col = {}
+        for pos in range(len(face)):
+            i = below.get(face[:pos] + face[pos + 1 :])
+            if i is not None:
+                col[i] = 1 if pos % 2 == 0 else self.p - 1
+        return col
+
+    def _pivot_rows(self, k):
+        """Pivot rows of the sparse reduction of the boundary from degree k,
+        with the pivot rows of degree k+1 cleared first."""
+        if k not in self._pivots:
+            if not (self.size(k) and self.size(k - 1)):
+                self._pivots[k] = set()
+            else:
+                skip = self._pivot_rows(k + 1)
+                cols = (self._column(k, f) for f in self.faces[k])
+                self._pivots[k] = linalg.sparse_pivot_rows(cols, self.p, skip)
+        return self._pivots[k]
+
     def boundary_rank(self, k):
-        if k not in self._rank:
-            self._rank[k] = linalg.rank(self.boundary(k), self.p)
-        return self._rank[k]
+        return len(self._pivot_rows(k))
 
     def betti(self, k):
         n_k = self.size(k)
@@ -330,6 +350,13 @@ class LinkScan:
     @cached_property
     def records(self):
         return [(f, *_link_homology(self.delta.link(f), self.fld)) for f in self.delta.faces()]
+
+    def vertex_link(self, v):
+        """The scan of lk(v), read off this one: lk_{lk v}(σ) = lk(σ ∪ {v})."""
+        scan = LinkScan(self.delta.link((v,)), self.fld)
+        by_face = {f: rest for f, *rest in self.records}
+        scan.records = [(s, *by_face[tuple(sorted(s + (v,)))]) for s in scan.delta.faces()]
+        return scan
 
     def cohen_macaulay(self):
         """Vanishing link homology below top dimension for every face incl. ();

@@ -120,6 +120,31 @@ def solve_many(matrix, rhs, p: int):
     return sols, ok
 
 
+def sparse_pivot_rows(columns, p: int, skip=frozenset()) -> set:
+    """Pivot rows of a left-to-right column reduction mod p; the rank is their
+    number.  Each column is a dict {row: nonzero value mod p} and its pivot is
+    its largest row.  Columns whose index is in `skip` are passed over."""
+    reduced = {}  # pivot row -> the rest of its column, scaled to pivot 1
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        while col:
+            row = max(col)
+            entry = col.pop(row)
+            tail = reduced.get(row)
+            if tail is None:
+                inv = pow(entry, p - 2, p)
+                reduced[row] = {i: v * inv % p for i, v in col.items()}
+                break
+            for i, v in tail.items():
+                x = (col.get(i, 0) - entry * v) % p
+                if x:
+                    col[i] = x
+                else:
+                    col.pop(i, None)
+    return set(reduced)
+
+
 def column_span_pivots(matrix, p: int) -> np.ndarray:
     """Indices of a deterministic maximal independent subset of the columns."""
     return rref(matrix, p)[1]

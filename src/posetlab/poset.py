@@ -790,6 +790,22 @@ def poset_to_dict(P: FinitePoset) -> dict:
     }
 
 
+def jsonable(value):
+    """Plain JSON data: numpy integers and arrays become ints and lists,
+    tuples become lists, keys become strings, anything else its str()."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
 def json_list(entry, what, item=str) -> tuple:
     """A list from a parsed JSON file, as a tuple, when every entry is of type
     `item`; anything else raises a PosetLabError that names the bad entry."""

@@ -16,6 +16,7 @@ from posetlab.generators import (
     simplex_boundary_complex,
 )
 from posetlab.homology import (
+    LinkScan,
     classify,
     is_buchsbaum,
     is_buchsbaum_star,
@@ -78,3 +79,16 @@ def test_link_scan_matches_oracle(p):
         if got.cohen_macaulay and got.buchsbaum and got.doubly_cm and got.gorenstein_star and got.buchsbaum_star:
             seen.add("all five hold")
     assert seen == {"doubly CM fails at a face", "Buchsbaum* fails with a rank", "all five hold"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_vertex_link_scan_matches_fresh_scan(p):
+    fld = FieldSpec(p)
+    for delta in samples():
+        scan = LinkScan(delta, fld)
+        for v in delta.vertices:
+            got = scan.vertex_link(v)
+            fresh = LinkScan(delta.link((v,)), fld)
+            assert got.delta == fresh.delta
+            assert got.records == fresh.records, (delta, v)
+            assert got.doubly_cm() == fresh.doubly_cm(), (delta, v)

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from posetlab import homology
 from posetlab.complexes import (
     SimplicialComplex,
     order_complex,
@@ -15,6 +18,8 @@ from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
     face_poset_of_complex,
+    full_simplex_complex,
+    make_family,
     path_complex,
     points_complex,
     simplex_boundary_complex,
@@ -313,3 +318,66 @@ def test_relative_chain_complex_boundary_identity():
     delta = simplex_boundary_complex(3)
     gamma = delta.contrastar(("s0",))
     assert relative_chain_complex(delta, gamma, FLD).verify_boundary_identity()
+
+
+# -- sparse ranks against the dense kernel ---------------------------------------------
+
+
+def _random_complex(rng):
+    verts = [f"v{i}" for i in range(rng.randint(3, 8))]
+    faces = [rng.sample(verts, rng.randint(1, min(5, len(verts)))) for _ in range(rng.randint(1, 7))]
+    return SimplicialComplex.from_faces(faces)
+
+
+def sparse_rank_samples():
+    """(complex, subcomplex or None) pairs: random complexes, order complexes
+    of random posets, relative pairs and the void complex."""
+    rng = random.Random(2011)
+    out = [(_random_complex(rng), None) for _ in range(10)]
+    out += [
+        (reduced_order_complex(make_family("random-poset", n, levels, seed)), None)
+        for n, levels in ((6, 3), (7, 2))
+        for seed in range(3)
+    ]
+    for delta in (simplex_boundary_complex(3), reduced_order_complex(boolean_lattice(3)), _random_complex(rng)):
+        v = delta.vertices[0]
+        out.append((delta, delta.contrastar((v,))))
+        out.append((delta.closed_star(v), delta.link((v,))))
+        out.append((delta, delta))
+    out.append((full_simplex_complex(3), simplex_boundary_complex(3)))
+    out.append((SimplicialComplex.void(), None))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_sparse_boundary_rank_matches_dense_rank(p):
+    fld = FieldSpec(p)
+    for delta, gamma in sparse_rank_samples():
+        def fresh():
+            if gamma is None:
+                return chain_complex(delta, fld)
+            return relative_chain_complex(delta, gamma, fld)
+
+        present = fresh().degrees
+        degrees = range(min(present), max(present) + 2)
+        for order in (reversed(degrees), degrees):
+            ccr = fresh()
+            for k in order:
+                expect = matrix_rank(ccr.boundary(k), p)
+                assert ccr.boundary_rank(k) == expect, (delta, gamma, k)
+
+
+def test_large_order_complex_homology_builds_no_dense_matrix(monkeypatch):
+    built = []
+
+    def recording(delta, fld):
+        built.append(chain_complex(delta, fld))
+        return built[-1]
+
+    monkeypatch.setattr(homology, "chain_complex", recording)
+    delta = reduced_order_complex(make_family("cube-boundary", 5))
+    for p in (2, 101):
+        report = homology.reduced_homology(delta, FieldSpec(p))
+        assert report.betti == {k: int(k == 4) for k in range(-1, 5)}
+    assert len(built) == 2
+    assert all(ccr._boundary == {} for ccr in built)
