@@ -1,137 +1,53 @@
-"""Row-reduction kernels over a prime field.
+"""Sparse column reduction over a prime field.
 
-Two interchangeable implementations of in-place reduced row echelon form on
-int64 matrices with entries in [0, p): a numba @njit triple loop and a
-vectorized pure-numpy fallback.  Both scan pivot columns left to right and
-take the first nonzero row at or below the cursor, so their outputs are
-bit-identical; callers may mix them freely.
-
-Backend selection happens once at import: POSETLAB_BACKEND=numpy forces the
-fallback, POSETLAB_BACKEND=numba requires numba.  Default is numba when it
-imports, numpy otherwise.
+A column is a dict {row: nonzero value mod p}.  Columns are reduced left to
+right, and a column's pivot is its largest row, so every result depends only
+on the input order.
 """
 
-import os
 
-import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+def _subtract(col, entry, tail, p):
+    """col -= entry * tail, in place, dropping the entries that cancel."""
+    for i, v in tail.items():
+        x = (col.get(i, 0) - entry * v) % p
+        if x:
+            col[i] = x
+        else:
+            col.pop(i, None)
 
 
-def _rref_inplace_py(a, p, npiv):
-    """Reduce `a` in place; pivots only in the first `npiv` columns.
+def reduce_columns(columns, p, skip=frozenset(), track=False):
+    """Reduce `columns` left to right mod p; the columns are consumed.
 
-    Returns (rank, pivot_columns).  Elimination always spans the full width,
-    so augmented columns beyond `npiv` end up expressed in the pivot basis.
+    Returns (pivots, cycles).  `pivots` maps each pivot row to the rest of its
+    reduced column, scaled to 1 at the pivot; the rank is their number.
+    Columns whose index is in `skip` are passed over.  With `track`, `cycles`
+    maps each column j that reduces to zero to the combination V_j of the
+    input columns that does so, without its leading term j (coefficient 1):
+    {i < j: coefficient}.  Without `track`, `cycles` is None.
     """
-    m, n = a.shape
-    piv_cols = np.empty(min(m, npiv), dtype=np.int64)
-    r = 0
-    for c in range(npiv):
-        pr = -1
-        for i in range(r, m):
-            if a[i, c] != 0:
-                pr = i
+    pivots = {}
+    combos = {}  # pivot row -> its reduced column as a combination of columns
+    cycles = {} if track else None
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        combo = {}
+        while col:
+            row = max(col)
+            entry = col.pop(row)
+            tail = pivots.get(row)
+            if tail is None:
+                inv = pow(entry, p - 2, p)
+                pivots[row] = {i: v * inv % p for i, v in col.items()}
+                if track:
+                    combos[row] = {i: v * inv % p for i, v in combo.items()}
+                    combos[row][j] = inv
                 break
-        if pr < 0:
-            continue
-        if pr != r:
-            for j in range(c, n):
-                tmp = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = tmp
-        inv = _inv_mod(a[r, c], p)
-        if inv != 1:
-            for j in range(c, n):
-                a[r, j] = (a[r, j] * inv) % p
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for j in range(c, n):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        piv_cols[r] = c
-        r += 1
-        if r == m:
-            break
-    return r, piv_cols[:r]
-
-
-def _inv_mod_py(a, p):
-    # Fermat inverse; p is prime and a is nonzero mod p.
-    result = 1
-    base = a % p
-    e = p - 2
-    while e > 0:
-        if e & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return result
-
-
-if NUMBA_AVAILABLE:
-    _inv_mod = njit(cache=True)(_inv_mod_py)
-    _rref_inplace_numba = njit(cache=True)(_rref_inplace_py)
-else:
-    _inv_mod = _inv_mod_py
-    _rref_inplace_numba = None
-
-
-def _rref_inplace_numpy(a, p, npiv):
-    """Vectorized fallback; same pivot choices as the numba kernel."""
-    m, n = a.shape
-    piv_cols = []
-    r = 0
-    for c in range(npiv):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr], c:] = a[[pr, r], c:]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return r, np.asarray(piv_cols, dtype=np.int64)
-
-
-def _pick_backend():
-    choice = os.environ.get("POSETLAB_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("POSETLAB_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unrecognized POSETLAB_BACKEND: {choice!r}")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-def rref_inplace(a, p, npiv):
-    """Dispatch to the active backend. `a` must be int64, C-contiguous."""
-    if BACKEND == "numba":
-        return _rref_inplace_numba(a, p, npiv)
-    return _rref_inplace_numpy(a, p, npiv)
+            _subtract(col, entry, tail, p)
+            if track:
+                _subtract(combo, entry, combos[row], p)
+        else:
+            if track:
+                cycles[j] = combo
+    return pivots, cycles

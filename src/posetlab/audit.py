@@ -140,16 +140,35 @@ class _InstanceData:
         self.alpha = {y: atoms_below(P, y) for y in self.maximals}
         self.alpha_min = min(self.alpha.values()) if self.alpha else 0
 
-    # Derived posets for the rank >= 2 checks.
-    def truncations(self):
-        Q = self.P.remove_maximal()
-        R = Q.remove_atoms()
-        return Q, R
+    # Derived quantities, each computed on first use.  The truncations and
+    # the interval classes serve only the rank >= 2 checks.
+    @cached_property
+    def Q(self):
+        return self.P.remove_maximal()
+
+    @cached_property
+    def R(self):
+        return self.Q.remove_atoms()
+
+    @cached_property
+    def chi_q(self):
+        return reduced_euler_char(self.Q)
+
+    @cached_property
+    def chi_r(self):
+        return reduced_euler_char(self.R)
 
     @cached_property
     def qbar(self):
-        Q, _ = self.truncations()
-        return LinkScan(order_complex(Q.remove_min()), self.fld)
+        return LinkScan(order_complex(self.Q.remove_min()), self.fld)
+
+    @cached_property
+    def interval_classes(self):
+        return maximal_interval_classes(self.P, self.fld)
+
+    @cached_property
+    def cubical_entries(self):
+        return cubical_h(self.P).entries
 
 
 def _na(check_id, anchor, reason):
@@ -265,9 +284,7 @@ def check_mobius_decomposition(data: _InstanceData):
     if not (data.qualifies and data.rank >= 2):
         reason = _skip_reason(data) or "rank below 2"
         return [_na("mobius-decomposition", ANCHOR_DECOMP, reason)]
-    Q, R = data.truncations()
-    chi_q = reduced_euler_char(Q)
-    chi_r = reduced_euler_char(R)
+    chi_q, chi_r = data.chi_q, data.chi_r
     lhs = sum(abs(v) for v in data.atom_mu.values()) - data.alpha_min * abs(
         data.mu_bottom_top
     )
@@ -294,9 +311,8 @@ def check_truncation_step(data: _InstanceData):
             _na("truncation-alternating-sum", ANCHOR_STEP, reason),
             _na("interval-poset-route", ANCHOR_INTERVAL_ROUTE, reason),
         ]
-    Q, R = data.truncations()
-    chi_q = reduced_euler_char(Q)
-    chi_r = reduced_euler_char(R)
+    Q, R = data.Q, data.R
+    chi_q, chi_r = data.chi_q, data.chi_r
     profile = rank_profile(Q)
     ranks = profile.ranks
     lhs = 0
@@ -359,18 +375,18 @@ def select_basis(data: _InstanceData, reverse=False) -> BasisSelection:
     Eulerian Cohen-Macaulay instance that would contradict the spanning
     property the audit relies on, so callers treat it as a hard failure.
     """
-    classes = maximal_interval_classes(data.P, data.fld)
+    classes = data.interval_classes
     order = sorted(classes.classes, reverse=reverse)
     chosen = []
-    vectors = []
+    columns = []
     p = data.fld.characteristic
     current_rank = 0
     for y in order:
-        candidate = vectors + [classes.classes[y]]
-        r = linalg.rank(np.column_stack(candidate), p)
+        candidate = columns + [{i: int(v) for i, v in enumerate(classes.classes[y]) if v}]
+        r = linalg.rank(candidate, p)
         if r > current_rank:
             chosen.append(y)
-            vectors = candidate
+            columns = candidate
             current_rank = r
         if current_rank == classes.ambient_dim:
             break
@@ -394,9 +410,7 @@ def check_basis_bound(data: _InstanceData):
     if not (data.qualifies and data.rank >= 2):
         reason = _skip_reason(data) or "rank below 2"
         return [_na(cid, anch, reason) for cid, anch in anchor_ids]
-    Q, R = data.truncations()
-    chi_q = reduced_euler_char(Q)
-    chi_r = reduced_euler_char(R)
+    chi_q, chi_r = data.chi_q, data.chi_r
     try:
         selection = select_basis(data)
     except (OmegaNotOneDimensionalError, BasisNotFoundError) as exc:
@@ -468,7 +482,7 @@ def check_penultimate_identities(data: _InstanceData):
             )
         )
     if data.has_min and data.cubical and data.graded and d >= 1:
-        lhs = cubical_h(data.P).entries[d - 1]
+        lhs = data.cubical_entries[d - 1]
         rhs = (-1) ** d * atoms_term - 2 ** (d - 1) * (-1) ** (d + 1) * data.mu_bottom_top
         recs.append(
             CheckRecord(
@@ -495,7 +509,7 @@ def check_nonnegativity_corollaries(data: _InstanceData):
     d = data.rank
     cubical_ok = data.has_min and data.cubical and data.graded and data.cm and d >= 1
     if cubical_ok:
-        entries = cubical_h(data.P).entries
+        entries = data.cubical_entries
         recs.append(
             CheckRecord(
                 "cubical-penultimate-nonneg",
@@ -588,8 +602,7 @@ def check_truncation_structure(data: _InstanceData):
         return [_na(cid, anch, reason) for cid, anch in ids]
 
     fld = data.fld
-    Q, _ = data.truncations()
-    q_bar = Q.remove_min()
+    q_bar = data.Q.remove_min()
     delta_qbar = data.qbar.delta
     recs = []
 

@@ -70,10 +70,11 @@ class UsageError(Exception):
     pass
 
 
-# The largest dense boundary matrix a homology command may build from a file.
-# The guard bounds this dense estimate for all four commands, although ranks
-# are now sparse and only `compute classify` and `check buchsbaum-star` build
-# a dense matrix, in the top degree.
+# A work bound for the homology commands on a file, on the largest boundary
+# matrix counted as rows x columns.  No dense matrix is built; the bound
+# stands for the link scans, which reduce one complex per face: `check cm`
+# on cube-boundary-5, the smallest refused input in the tests, takes about
+# 54 s on a 2-core machine.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
@@ -137,9 +138,17 @@ def cmd_generate(args) -> int:
 
 
 _POSET_ONLY = "this invariant needs a poset input (a JSON file with covers)"
+_H_VECTORS = {
+    "simplicial-h": simplicial_h,
+    "toric-h": toric_h,
+    "cubical-h": cubical_h,
+    "short-cubical-h": short_cubical_h,
+}
 
 
 def cmd_compute(args) -> int:
+    if args.format == "tsv" and args.invariant not in _H_VECTORS:
+        raise UsageError("tsv output is only available for h-vector invariants")
     instance = _load_instance(args.input)
     fld = _field_from(args)
     inv = args.invariant
@@ -164,16 +173,10 @@ def cmd_compute(args) -> int:
             else instance.reduced_euler_char()
         )
         payload = {"name": instance.name, "chi": value}
-    elif inv in ("simplicial-h", "toric-h", "cubical-h", "short-cubical-h"):
+    elif inv in _H_VECTORS:
         if not is_poset:
             raise UsageError(_POSET_ONLY)
-        fn = {
-            "simplicial-h": simplicial_h,
-            "toric-h": toric_h,
-            "cubical-h": cubical_h,
-            "short-cubical-h": short_cubical_h,
-        }[inv]
-        report = fn(instance)
+        report = _H_VECTORS[inv](instance)
         if args.format == "tsv":
             head = "kind\trank\t" + "\t".join(
                 f"h{i}" for i in range(len(report.entries))
@@ -204,8 +207,6 @@ def cmd_compute(args) -> int:
         }
     else:
         raise UsageError(f"unknown invariant: {inv}")
-    if args.format == "tsv":
-        raise UsageError("tsv output is only available for h-vector invariants")
     _emit(_dump(payload), args.output)
     return 0
 
@@ -258,6 +259,8 @@ def cmd_audit(args) -> int:
         raise UsageError("only the built-in suite 'all' is available")
     fld = _field_from(args)
     reports = run_suite(fld, family=args.family)
+    if not reports:
+        raise UsageError(f"no instance of the built-in suite belongs to family {args.family!r}")
     payload = [r.to_dict() for r in reports]
     _emit(_dump(payload), args.output)
     failures = 0

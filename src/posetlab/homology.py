@@ -2,14 +2,20 @@
 
 Orientation convention: faces are sorted vertex tuples, boundary signs come
 from removal position, and the empty face sits in degree -1 so homology is
-reduced.  All bases (cycle representatives, induced-map matrices) are the
-deterministic output of dense left-to-right column reduction.
+reduced.
 
-Betti numbers need only ranks, and those come from sparse column reduction
-with clearing: a pivot row i of the reduced boundary from degree k+1 marks a
-k-face whose boundary column reduces to zero (R_{k+1}[j] = ±σ_i + lower terms
-and ∂R_{k+1}[j] = 0 put ∂σ_i in the span of earlier columns), so it is
-skipped.  No dense matrix is built for a rank.
+Everything comes from one sparse left-to-right column reduction per degree
+(`_kernels.reduce_columns`), with clearing: a pivot row i of the reduced
+boundary from degree k+1 marks a k-face whose boundary column reduces to zero
+(R_{k+1}[j] = ±σ_i + lower terms and ∂R_{k+1}[j] = 0 put ∂σ_i in the span of
+earlier columns), so it is skipped.  The ranks give the Betti numbers.  The
+columns of degree k that reduce to zero and are not cleared are the essential
+ones; the combinations V_j that reduce them form the homology basis, V_j
+with leading face j.  Class coordinates reduce a cycle by its largest face
+against those V_j and the reduced boundary columns from degree k+1, whose
+leading faces are the cleared ones.  Induced maps push the basis through a
+chain map {source face index: (target face index, sign)}.  No dense matrix
+is built; bases and coordinates depend only on the face order.
 
 The classifiers read one `LinkScan` per complex, and two identities spare
 them most link computations:
@@ -32,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .complexes import (
     SimplicialComplex,
     is_subcomplex,
@@ -51,7 +57,7 @@ from .poset import FinitePoset, rank_profile
 
 
 class ChainComplexRep:
-    """Ordered face lists per degree plus boundary matrices mod p."""
+    """Ordered face lists per degree; the boundary maps are reduced sparsely mod p."""
 
     def __init__(self, faces_by_degree, p):
         self.p = p
@@ -60,28 +66,14 @@ class ChainComplexRep:
             k: {f: i for i, f in enumerate(fs)} for k, fs in faces_by_degree.items()
         }
         self.degrees = sorted(faces_by_degree)
-        self._boundary = {}
-        self._pivots = {}
-        self._hbasis = {}
+        self._reductions = {}
 
     def size(self, k):
         return len(self.faces.get(k, ()))
 
-    def boundary(self, k):
-        """Matrix of the boundary map from degree k to degree k-1."""
-        if k in self._boundary:
-            return self._boundary[k]
-        mat = np.zeros((self.size(k - 1), self.size(k)), dtype=np.int64)
-        if mat.size:
-            for j, face in enumerate(self.faces[k]):
-                for i, sign in self._column(k, face).items():
-                    mat[i, j] = sign
-        self._boundary[k] = mat
-        return mat
-
     def _column(self, k, face):
         """Sparse column of the boundary of one k-face: {row in degree k-1: sign}."""
-        below = self.index[k - 1]
+        below = self.index.get(k - 1, {})
         col = {}
         for pos in range(len(face)):
             i = below.get(face[:pos] + face[pos + 1 :])
@@ -89,20 +81,22 @@ class ChainComplexRep:
                 col[i] = 1 if pos % 2 == 0 else self.p - 1
         return col
 
-    def _pivot_rows(self, k):
-        """Pivot rows of the sparse reduction of the boundary from degree k,
-        with the pivot rows of degree k+1 cleared first."""
-        if k not in self._pivots:
-            if not (self.size(k) and self.size(k - 1)):
-                self._pivots[k] = set()
-            else:
-                skip = self._pivot_rows(k + 1)
+    def _reduce(self, k, track=False):
+        """`reduce_columns` of the boundary from degree k, with the pivot rows
+        of degree k+1 cleared first: (pivots, cycles if `track`)."""
+        done = self._reductions.get(k)
+        if done is None or (track and done[1] is None):
+            if self.size(k):
+                skip = self._reduce(k + 1)[0]
                 cols = (self._column(k, f) for f in self.faces[k])
-                self._pivots[k] = linalg.sparse_pivot_rows(cols, self.p, skip)
-        return self._pivots[k]
+                done = _kernels.reduce_columns(cols, self.p, skip, track)
+            else:
+                done = ({}, {})
+            self._reductions[k] = done
+        return done
 
     def boundary_rank(self, k):
-        return len(self._pivot_rows(k))
+        return len(self._reduce(k)[0])
 
     def betti(self, k):
         n_k = self.size(k)
@@ -110,36 +104,60 @@ class ChainComplexRep:
             return 0
         return n_k - self.boundary_rank(k) - self.boundary_rank(k + 1)
 
-    def cycle_space(self, k):
-        return linalg.nullspace(self.boundary(k), self.p)
+    def _essential(self, k):
+        """{j: V_j without its leading term} for the columns of degree k that
+        reduce to zero and are not pivot rows of degree k+1.  Clearing never
+        reduces those rows; the rule stands here so the basis does not rest
+        on it."""
+        cleared = self._reduce(k + 1)[0]
+        cycles = self._reduce(k, track=True)[1]
+        return {j: rest for j, rest in cycles.items() if j not in cleared}
 
     def homology_basis(self, k):
-        """Cycle representatives: columns of the returned (n_k x betti_k) matrix."""
-        if k not in self._hbasis:
-            cycles = self.cycle_space(k)
-            bound = self.boundary(k + 1)
-            stacked = np.concatenate([bound, cycles], axis=1)
-            _, piv = linalg.rref(stacked, self.p)
-            chosen = [c - bound.shape[1] for c in piv if c >= bound.shape[1]]
-            self._hbasis[k] = cycles[:, chosen]
-        return self._hbasis[k]
+        """Cycle representatives {face index: coefficient}, one V_j per
+        essential column j in order of j; V_j has leading face j."""
+        return [{**rest, j: 1} for j, rest in self._essential(k).items()]
 
-    def class_coordinates(self, k, chain_vectors):
-        """Coordinates of cycle columns in the chosen homology basis."""
-        basis = self.homology_basis(k)
-        bound = self.boundary(k + 1)
-        system = np.concatenate([bound, basis], axis=1)
-        sols, ok = linalg.solve_many(system, chain_vectors, self.p)
-        if not ok.all():
-            raise PosetLabError("chain is not a cycle of the complex")
-        return sols[bound.shape[1] :, :]
+    def class_coordinates(self, k, chains):
+        """Coordinates in `homology_basis(k)` of cycles given as {face index:
+        value}: one {basis position: coefficient} per chain.
+
+        Each chain is reduced by its largest face against the reduced
+        boundary columns from degree k+1, keyed by pivot row, and the basis
+        cycles, keyed by leading face; these leading faces are all distinct.
+        A leading face in neither set means the chain is not a cycle.
+        """
+        bounds = self._reduce(k + 1)[0]
+        cycles = self._essential(k)
+        position = {j: n for n, j in enumerate(cycles)}
+        p = self.p
+        out = []
+        for chain in chains:
+            col = {i: v % p for i, v in chain.items() if v % p}
+            coords = {}
+            while col:
+                lead = max(col)
+                entry = col.pop(lead)
+                rest = bounds.get(lead)
+                if rest is None:
+                    rest = cycles.get(lead)
+                    if rest is None:
+                        raise PosetLabError("chain is not a cycle of the complex")
+                    coords[position[lead]] = entry
+                _kernels._subtract(col, entry, rest, p)
+            out.append(coords)
+        return out
 
     def verify_boundary_identity(self):
-        """dd = 0 as an exact matrix statement in every degree."""
+        """dd = 0 on every face, as an exact sum mod p."""
         for k in self.degrees:
-            prod = (self.boundary(k) @ self.boundary(k + 1)) % self.p
-            if prod.size and prod.any():
-                return False
+            for face in self.faces[k]:
+                total = {}
+                for i, s in self._column(k, face).items():
+                    for h, t in self._column(k - 1, self.faces[k - 1][i]).items():
+                        total[h] = (total.get(h, 0) + s * t) % self.p
+                if any(total.values()):
+                    return False
         return True
 
 
@@ -212,17 +230,27 @@ class InducedMapReport:
         return self.rank == self.codomain_dim
 
 
-def _induced_report(src_ccr, src_deg, dst_ccr, dst_deg, chain_map, p):
-    """Push the source homology basis through a chain-level map."""
+def _induced_report(src_ccr, src_deg, dst_ccr, dst_deg, chain_map):
+    """Push the source homology basis through a chain map given as
+    {source face index: (target face index, sign)}."""
     basis = src_ccr.homology_basis(src_deg)
-    b_src = basis.shape[1]
     b_dst = dst_ccr.betti(dst_deg)
-    if b_src == 0 or b_dst == 0:
-        matrix = np.zeros((b_dst, b_src), dtype=np.int64)
-        return InducedMapReport(b_src, b_dst, 0, matrix)
-    images = (chain_map @ basis) % p
+    matrix = np.zeros((b_dst, len(basis)), dtype=np.int64)
+    if not (basis and b_dst):
+        return InducedMapReport(len(basis), b_dst, 0, matrix)
+    images = []
+    for cycle in basis:
+        image = {}
+        for i, v in cycle.items():
+            if i in chain_map:
+                t, sign = chain_map[i]
+                image[t] = image.get(t, 0) + sign * v
+        images.append(image)
     coords = dst_ccr.class_coordinates(dst_deg, images)
-    return InducedMapReport(b_src, b_dst, linalg.rank(coords, p), coords)
+    for c, col in enumerate(coords):
+        for r, v in col.items():
+            matrix[r, c] = v
+    return InducedMapReport(len(basis), b_dst, linalg.rank(coords, dst_ccr.p), matrix)
 
 
 def induced_inclusion_map(
@@ -235,19 +263,14 @@ def induced_inclusion_map(
     pair (delta, gamma), computed from the chain-level projection."""
     src = chain_complex(delta, fld)
     dst = relative_chain_complex(delta, gamma, fld)
-    return _induced_report(
-        src, dim, dst, dim, _projection_matrix(src, dst, dim), fld.characteristic
-    )
+    return _induced_report(src, dim, dst, dim, _projection(src, dst, dim))
 
 
-def _projection_matrix(src, dst, k):
-    mat = np.zeros((dst.size(k), src.size(k)), dtype=np.int64)
+def _projection(src, dst, k):
+    """The chain map sending each k-face of src that dst has to itself."""
     dst_index = dst.index.get(k, {})
-    for j, face in enumerate(src.faces.get(k, ())):
-        i = dst_index.get(face)
-        if i is not None:
-            mat[i, j] = 1
-    return mat
+    faces = enumerate(src.faces.get(k, ()))
+    return {j: (dst_index[f], 1) for j, f in faces if f in dst_index}
 
 
 def vertex_link_map(
@@ -264,18 +287,16 @@ def vertex_link_map(
     link = gamma.link((v,))
     src = chain_complex(gamma, fld)
     dst = chain_complex(link, fld)
-    p = fld.characteristic
-    mat = np.zeros((dst.size(k - 1), src.size(k)), dtype=np.int64)
     dst_index = dst.index.get(k - 1, {})
+    chain_map = {}
     for j, face in enumerate(src.faces.get(k, ())):
         if v not in face:
             continue
         pos = face.index(v)
-        reduced = face[:pos] + face[pos + 1 :]
-        i = dst_index.get(reduced)
+        i = dst_index.get(face[:pos] + face[pos + 1 :])
         if i is not None:
-            mat[i, j] = 1 if pos % 2 == 0 else p - 1
-    return _induced_report(src, k, dst, k - 1, mat, p)
+            chain_map[j] = (i, -1 if pos % 2 else 1)
+    return _induced_report(src, k, dst, k - 1, chain_map)
 
 
 @dataclass(frozen=True)
@@ -301,18 +322,15 @@ def maximal_interval_classes(P: FinitePoset, fld: FieldSpec) -> MaximalIntervalC
     p = fld.characteristic
     classes = {}
     for y in sorted(P.maximal_elements()):
-        interval = open_interval_complex(P, bottom, y)
-        src = chain_complex(interval, fld)
-        inclusion = np.zeros((amb_ccr.size(deg), src.size(deg)), dtype=np.int64)
-        amb_index = amb_ccr.index.get(deg, {})
-        for j, face in enumerate(src.faces.get(deg, ())):
-            inclusion[amb_index[face], j] = 1
-        report = _induced_report(src, deg, amb_ccr, deg, inclusion, p)
+        src = chain_complex(open_interval_complex(P, bottom, y), fld)
+        report = _induced_report(src, deg, amb_ccr, deg, _projection(src, amb_ccr, deg))
         if report.rank != 1:
             raise OmegaNotOneDimensionalError(y, report.rank)
-        reduced = linalg.rref(report.matrix.T, p)[0].T
-        first = np.flatnonzero(reduced.any(axis=0))[0]
-        classes[y] = reduced[:, first].copy()
+        # The image is spanned by its first nonzero column, scaled so that
+        # its first nonzero entry is 1.
+        column = report.matrix[:, np.flatnonzero(report.matrix.any(axis=0))[0]]
+        lead = int(column[np.flatnonzero(column)[0]])
+        classes[y] = column * pow(lead, p - 2, p) % p
     return MaximalIntervalClasses(ambient_dim, classes)
 
 
@@ -403,7 +421,10 @@ class LinkScan:
             return False, wit
         ccr = chain_complex(self.delta, self.fld)
         d = self.delta.dim
-        cycles = ccr.cycle_space(d)
+        by_face = {}  # d-face index -> {top cycle position: coefficient}
+        for n, cycle in enumerate(ccr.homology_basis(d)):
+            for i, v in cycle.items():
+                by_face.setdefault(i, {})[n] = v
         rows = {}
         for j, facet in enumerate(ccr.faces.get(d, ())):
             for k in range(1, len(facet) + 1):
@@ -411,7 +432,8 @@ class LinkScan:
                     rows.setdefault(sub, []).append(j)
         for f, _, top in self.records:
             if f and top:
-                rank = linalg.rank(cycles[rows[f]], self.fld.characteristic)
+                restricted = (by_face.get(i, {}) for i in rows[f])
+                rank = linalg.rank(restricted, self.fld.characteristic)
                 if rank < top:
                     return False, (f, rank)
         return True, None

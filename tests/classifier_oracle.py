@@ -1,15 +1,11 @@
 """The face-by-face classifiers as they were before `LinkScan`: every scan
 builds each link (and each vertex deletion and contrastar pair) afresh.
-Kept verbatim as the reference the fast classifiers are checked against.
+Kept verbatim as the reference the fast classifiers are checked against;
+the Buchsbaum* maps run through the dense oracle in `dense_oracle.py`.
 """
 
-from posetlab.homology import (
-    ComplexClasses,
-    _induced_report,
-    _projection_matrix,
-    chain_complex,
-    relative_chain_complex,
-)
+from dense_oracle import _induced_report, _projection_matrix
+from posetlab.homology import ComplexClasses, chain_complex, relative_chain_complex
 from posetlab.linalg import FieldSpec
 from posetlab.complexes import SimplicialComplex
 

@@ -230,3 +230,17 @@ def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):
     assert run_cli("compute", "homology", str(huge)) == 2
     assert "size guard" in capsys.readouterr().err
     assert time.perf_counter() - start < 10
+
+
+def test_audit_rejects_a_family_outside_the_suite(capsys):
+    assert run_cli("audit", "all", "--family", "nosuch") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'nosuch'" in captured.err and "Traceback" not in captured.err
+
+
+def test_compute_refuses_tsv_before_loading_the_file(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert run_cli("compute", "homology", str(missing), "--format", "tsv") == 2
+    err = capsys.readouterr().err
+    assert "tsv output is only available" in err and "no such file" not in err
