@@ -6,6 +6,16 @@ on the input order.
 """
 
 
+class SparseMatrix(list):
+    """A matrix as a list of columns {row: nonzero value mod p}.  `size` is
+    the number of stored entries (as in scipy.sparse), counted when the
+    matrix is built, since the reduction consumes the columns."""
+
+    def __init__(self, columns=()):
+        super().__init__(columns)
+        self.size = sum(map(len, self))
+
+
 def _subtract(col, entry, tail, p):
     """col -= entry * tail, in place, dropping the entries that cancel."""
     for i, v in tail.items():
@@ -16,8 +26,11 @@ def _subtract(col, entry, tail, p):
             col.pop(i, None)
 
 
-def reduce_columns(columns, p, skip=frozenset(), track=False):
-    """Reduce `columns` left to right mod p; the columns are consumed.
+def rref_inplace(matrix, p, skip=frozenset(), track=False):
+    """Reduce the columns of a `SparseMatrix` left to right mod p, in place,
+    to column echelon form with unit pivots.  (The name is the one the
+    elimination kernel has always had; `perfbench/tracing.py` counts its
+    calls and `matrix.size`.)
 
     Returns (pivots, cycles).  `pivots` maps each pivot row to the rest of its
     reduced column, scaled to 1 at the pivot; the rank is their number.
@@ -29,7 +42,7 @@ def reduce_columns(columns, p, skip=frozenset(), track=False):
     pivots = {}
     combos = {}  # pivot row -> its reduced column as a combination of columns
     cycles = {} if track else None
-    for j, col in enumerate(columns):
+    for j, col in enumerate(matrix):
         if j in skip:
             continue
         combo = {}
@@ -39,7 +52,9 @@ def reduce_columns(columns, p, skip=frozenset(), track=False):
             tail = pivots.get(row)
             if tail is None:
                 inv = pow(entry, p - 2, p)
-                pivots[row] = {i: v * inv % p for i, v in col.items()}
+                for i in col:
+                    col[i] = col[i] * inv % p
+                pivots[row] = col
                 if track:
                     combos[row] = {i: v * inv % p for i, v in combo.items()}
                     combos[row][j] = inv
@@ -51,3 +66,24 @@ def reduce_columns(columns, p, skip=frozenset(), track=False):
             if track:
                 cycles[j] = combo
     return pivots, cycles
+
+
+def span_coefficients(chains, columns, p):
+    """Write each chain {row: value} in `columns`, given as {leading row:
+    rest of a column whose leading entry is 1, in rows below it}, by
+    reducing it by its largest row.  Returns one {leading row: coefficient}
+    per chain, or None for a chain outside the span of the columns."""
+    out = []
+    for chain in chains:
+        col = {i: v % p for i, v in chain.items() if v % p}
+        coeffs = {}
+        while col:
+            lead = max(col)
+            rest = columns.get(lead)
+            if rest is None:
+                coeffs = None
+                break
+            coeffs[lead] = entry = col.pop(lead)
+            _subtract(col, entry, rest, p)
+        out.append(coeffs)
+    return out

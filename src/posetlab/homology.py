@@ -5,7 +5,7 @@ from removal position, and the empty face sits in degree -1 so homology is
 reduced.
 
 Everything comes from one sparse left-to-right column reduction per degree
-(`_kernels.reduce_columns`), with clearing: a pivot row i of the reduced
+(`_kernels.rref_inplace`), with clearing: a pivot row i of the reduced
 boundary from degree k+1 marks a k-face whose boundary column reduces to zero
 (R_{k+1}[j] = ±σ_i + lower terms and ∂R_{k+1}[j] = 0 put ∂σ_i in the span of
 earlier columns), so it is skipped.  The ranks give the Betti numbers.  The
@@ -66,7 +66,7 @@ class ChainComplexRep:
             k: {f: i for i, f in enumerate(fs)} for k, fs in faces_by_degree.items()
         }
         self.degrees = sorted(faces_by_degree)
-        self._reductions = {}
+        self._boundary = {}  # degree -> the reduced boundary, (pivots, cycles)
 
     def size(self, k):
         return len(self.faces.get(k, ()))
@@ -81,18 +81,21 @@ class ChainComplexRep:
                 col[i] = 1 if pos % 2 == 0 else self.p - 1
         return col
 
+    def boundary(self, k):
+        """The boundary from degree k, one column per k-face."""
+        return _kernels.SparseMatrix(self._column(k, f) for f in self.faces.get(k, ()))
+
     def _reduce(self, k, track=False):
-        """`reduce_columns` of the boundary from degree k, with the pivot rows
+        """`rref_inplace` of the boundary from degree k, with the pivot rows
         of degree k+1 cleared first: (pivots, cycles if `track`)."""
-        done = self._reductions.get(k)
+        done = self._boundary.get(k)
         if done is None or (track and done[1] is None):
             if self.size(k):
                 skip = self._reduce(k + 1)[0]
-                cols = (self._column(k, f) for f in self.faces[k])
-                done = _kernels.reduce_columns(cols, self.p, skip, track)
+                done = _kernels.rref_inplace(self.boundary(k), self.p, skip, track)
             else:
                 done = ({}, {})
-            self._reductions[k] = done
+            self._boundary[k] = done
         return done
 
     def boundary_rank(self, k):
@@ -104,48 +107,30 @@ class ChainComplexRep:
             return 0
         return n_k - self.boundary_rank(k) - self.boundary_rank(k + 1)
 
-    def _essential(self, k):
-        """{j: V_j without its leading term} for the columns of degree k that
-        reduce to zero and are not pivot rows of degree k+1.  Clearing never
-        reduces those rows; the rule stands here so the basis does not rest
-        on it."""
-        cleared = self._reduce(k + 1)[0]
-        cycles = self._reduce(k, track=True)[1]
-        return {j: rest for j, rest in cycles.items() if j not in cleared}
-
     def homology_basis(self, k):
         """Cycle representatives {face index: coefficient}, one V_j per
-        essential column j in order of j; V_j has leading face j."""
-        return [{**rest, j: 1} for j, rest in self._essential(k).items()]
+        essential column j in order of j; V_j has leading face j.  Clearing
+        passes over the pivot rows of degree k+1, so the columns that reduce
+        to zero are exactly the essential ones."""
+        return [{**rest, j: 1} for j, rest in self._reduce(k, track=True)[1].items()]
 
     def class_coordinates(self, k, chains):
         """Coordinates in `homology_basis(k)` of cycles given as {face index:
         value}: one {basis position: coefficient} per chain.
 
-        Each chain is reduced by its largest face against the reduced
-        boundary columns from degree k+1, keyed by pivot row, and the basis
-        cycles, keyed by leading face; these leading faces are all distinct.
-        A leading face in neither set means the chain is not a cycle.
+        The chains are written in the reduced boundary columns from degree
+        k+1, keyed by pivot row, and the basis cycles, keyed by leading face;
+        these leading faces are all distinct.  A chain outside their span is
+        not a cycle.
         """
-        bounds = self._reduce(k + 1)[0]
-        cycles = self._essential(k)
+        cycles = self._reduce(k, track=True)[1]
+        columns = {**self._reduce(k + 1)[0], **cycles}
         position = {j: n for n, j in enumerate(cycles)}
-        p = self.p
         out = []
-        for chain in chains:
-            col = {i: v % p for i, v in chain.items() if v % p}
-            coords = {}
-            while col:
-                lead = max(col)
-                entry = col.pop(lead)
-                rest = bounds.get(lead)
-                if rest is None:
-                    rest = cycles.get(lead)
-                    if rest is None:
-                        raise PosetLabError("chain is not a cycle of the complex")
-                    coords[position[lead]] = entry
-                _kernels._subtract(col, entry, rest, p)
-            out.append(coords)
+        for coeffs in _kernels.span_coefficients(chains, columns, self.p):
+            if coeffs is None:
+                raise PosetLabError("chain is not a cycle of the complex")
+            out.append({position[j]: c for j, c in coeffs.items() if j in position})
         return out
 
     def verify_boundary_identity(self):
@@ -234,7 +219,9 @@ def _induced_report(src_ccr, src_deg, dst_ccr, dst_deg, chain_map):
     """Push the source homology basis through a chain map given as
     {source face index: (target face index, sign)}."""
     basis = src_ccr.homology_basis(src_deg)
-    b_dst = dst_ccr.betti(dst_deg)
+    # The length of the target basis, not `betti`: a rank-only reduction
+    # would be redone with tracking by `class_coordinates`.
+    b_dst = len(dst_ccr.homology_basis(dst_deg))
     matrix = np.zeros((b_dst, len(basis)), dtype=np.int64)
     if not (basis and b_dst):
         return InducedMapReport(len(basis), b_dst, 0, matrix)
@@ -318,7 +305,7 @@ def maximal_interval_classes(P: FinitePoset, fld: FieldSpec) -> MaximalIntervalC
     ambient = order_complex(q_bar)
     amb_ccr = chain_complex(ambient, fld)
     deg = d - 2
-    ambient_dim = amb_ccr.betti(deg)
+    ambient_dim = len(amb_ccr.homology_basis(deg))  # as in `_induced_report`
     p = fld.characteristic
     classes = {}
     for y in sorted(P.maximal_elements()):

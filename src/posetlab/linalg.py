@@ -49,5 +49,5 @@ def active_backend() -> str:
 
 def rank(columns, p: int) -> int:
     """Rank mod p of the matrix whose columns are the dicts {row: value}."""
-    cols = ({i: v % p for i, v in col.items() if v % p} for col in columns)
-    return len(_kernels.reduce_columns(cols, p)[0])
+    matrix = _kernels.SparseMatrix({i: v % p for i, v in col.items() if v % p} for col in columns)
+    return len(_kernels.rref_inplace(matrix, p)[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from posetlab import homology
+from posetlab import _kernels, homology
 from posetlab.complexes import (
     SimplicialComplex,
     order_complex,
@@ -194,6 +194,25 @@ def test_interval_classes_span_for_tetrahedron_boundary():
     assert abs(reduced_euler_char(P.remove_maximal())) == classes.ambient_dim
 
 
+def test_induced_maps_reduce_each_boundary_once(monkeypatch):
+    """The target's basis and coordinates share one tracked reduction per
+    degree; no rank-only reduction is redone with tracking."""
+    built = []
+    boundary = homology.ChainComplexRep.boundary
+
+    def recording(self, k):
+        built.append((self, k))  # held, so no id is reused
+        return boundary(self, k)
+
+    monkeypatch.setattr(homology.ChainComplexRep, "boundary", recording)
+    classes = maximal_interval_classes(make_family("cube-boundary", 4), FLD)
+    assert classes.ambient_dim == 7  # eight facets, one relation
+    assert vertex_link_map(circle(), "a", FLD).surjective
+    c4 = SimplicialComplex([("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3")])
+    assert induced_inclusion_map(c4, c4.contrastar(("v0",)), 1, FLD).surjective
+    assert built and len(built) == len({(id(c), k) for c, k in built})
+
+
 def test_interval_classes_need_rank_two():
     P = face_poset_of_complex(points_complex(3))
     with pytest.raises(PosetLabError):
@@ -370,15 +389,25 @@ def test_sparse_boundary_rank_matches_dense_rank(p):
 
 
 def test_large_order_complex_homology_builds_no_dense_matrix(monkeypatch):
-    built = []
+    """Betti numbers take ranks only: the reduction never tracks the cycle
+    combinations V_j, which only bases and coordinates need."""
+    built, reduced = [], []
+    rref_inplace = _kernels.rref_inplace
 
     def recording(delta, fld):
         built.append(chain_complex(delta, fld))
         return built[-1]
 
+    def untracked(matrix, p, skip=frozenset(), track=False):
+        assert not track
+        reduced.append(len(matrix))
+        return rref_inplace(matrix, p, skip)
+
     monkeypatch.setattr(homology, "chain_complex", recording)
+    monkeypatch.setattr(_kernels, "rref_inplace", untracked)
     delta = reduced_order_complex(make_family("cube-boundary", 5))
     for p in (2, 101):
         report = homology.reduced_homology(delta, FieldSpec(p))
         assert report.betti == {k: int(k == 4) for k in range(-1, 5)}
     assert len(built) == 2
+    assert len(reduced) == sum(len(ccr.degrees) for ccr in built)
