@@ -81,9 +81,14 @@ class ChainComplexRep:
                 col[i] = 1 if pos % 2 == 0 else self.p - 1
         return col
 
-    def boundary(self, k):
-        """The boundary from degree k, one column per k-face."""
-        return _kernels.SparseMatrix(self._column(k, f) for f in self.faces.get(k, ()))
+    def boundary(self, k, skip=frozenset()):
+        """The boundary from degree k, one column per k-face; the columns
+        indexed in `skip` are left empty, since the reduction passes over
+        them."""
+        return _kernels.SparseMatrix(
+            {} if j in skip else self._column(k, f)
+            for j, f in enumerate(self.faces.get(k, ()))
+        )
 
     def _reduce(self, k, track=False):
         """`rref_inplace` of the boundary from degree k, with the pivot rows
@@ -92,7 +97,7 @@ class ChainComplexRep:
         if done is None or (track and done[1] is None):
             if self.size(k):
                 skip = self._reduce(k + 1)[0]
-                done = _kernels.rref_inplace(self.boundary(k), self.p, skip, track)
+                done = _kernels.rref_inplace(self.boundary(k, skip), self.p, skip, track)
             else:
                 done = ({}, {})
             self._boundary[k] = done

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     NotCubicalError,
     NotLowerGradedError,
@@ -84,36 +86,51 @@ def _require_lower_eulerian(P):
         )
 
 
+def _grouped_sum(terms, powers):
+    """The sum of IntPolynomial(coeffs) * powers[r] over the (r, coeffs)
+    terms.  Coefficients are added per r first, so each r costs one product."""
+    sums = {}
+    for r, coeffs in terms:
+        acc = sums.setdefault(r, [])
+        acc.extend([0] * (len(coeffs) - len(acc)))
+        for t, c in enumerate(coeffs):
+            acc[t] += c
+    total = IntPolynomial()
+    for r, acc in sums.items():
+        total = total + IntPolynomial(acc) * powers[r]
+    return total
+
+
 def toric_face_polynomials(P: FinitePoset) -> dict:
     """The bottom-up pair of polynomials attached to every element.
 
     The pair for the minimum is (1, 1); above it, the first polynomial sums
     the second over the strict lower set weighted by (q-1)^(interval rank - 1),
     and the second truncates-and-differences the first halfway up its degree.
+    The second polynomials are summed per interval rank first, so each rank
+    costs one product by its precomputed power of (q-1).
     """
     _require_lower_eulerian(P)
-    _graded_rank(P)
+    d = _graded_rank(P)
     profile = rank_profile(P)
-    ranks = profile.ranks
-    bottom = P.minimum()
+    rho = profile.rho
     leq = P.leq_matrix
-    out = {bottom: (IntPolynomial.constant(1), IntPolynomial.constant(1))}
-    order = sorted(P.elements, key=lambda e: (ranks[e], e))
-    for z in order:
-        if z == bottom:
-            continue
-        iz = P.index(z)
-        f = IntPolynomial()
-        for y in order:
-            iy = P.index(y)
-            if iy == iz or not leq[iy, iz]:
-                continue
-            g_y = out[y][1]
-            f = f + g_y * Q_MINUS_ONE ** (profile.rho[iy, iz] - 1)
-        m = (ranks[z] - 1) // 2
-        ks = [f.coefficient(i) for i in range(m + 1)]
-        g = IntPolynomial([ks[0]] + [ks[i] - ks[i - 1] for i in range(1, m + 1)])
-        out[z] = (f, g)
+    els = P.elements
+    m = P.index(P.minimum())
+    powers = [None] + [Q_MINUS_ONE ** (r - 1) for r in range(1, d + 1)]
+    order = sorted(range(len(P)), key=lambda i: (rho[m, i], els[i]))
+    one = IntPolynomial.constant(1)
+    out = {els[m]: (one, one)}
+    g = {m: one.coeffs}
+    for z in order[1:]:
+        below = np.flatnonzero(leq[:, z])
+        below = below[below != z]
+        f = _grouped_sum(zip(rho[below, z].tolist(), (g[y] for y in below.tolist())), powers)
+        half = (int(rho[m, z]) - 1) // 2
+        ks = [f.coefficient(i) for i in range(half + 1)]
+        gz = IntPolynomial([ks[0]] + [ks[i] - ks[i - 1] for i in range(1, half + 1)])
+        out[els[z]] = (f, gz)
+        g[z] = gz.coeffs
     return out
 
 
@@ -126,9 +143,8 @@ def toric_h(P: FinitePoset) -> HVectorReport:
     d = _graded_rank(P)
     polys = toric_face_polynomials(P)
     ranks = rank_profile(P).ranks
-    total = IntPolynomial()
-    for y, (_, g) in polys.items():
-        total = total + g * Q_MINUS_ONE ** (d - ranks[y])
+    powers = [Q_MINUS_ONE ** (d - r) for r in range(d + 1)]
+    total = _grouped_sum(((ranks[y], g.coeffs) for y, (_, g) in polys.items()), powers)
     coeffs = total.padded(d + 1)
     return HVectorReport("toric", tuple(reversed(coeffs)), d, P.name)
 

@@ -2,14 +2,16 @@
 
 A poset is stored as its irredundant cover list plus a cached boolean
 reachability matrix, so order queries and interval traversals are numpy
-row operations.  Instances are immutable after construction; lazy caches
-are filled with idempotent writes and are safe to share between threads.
+row operations.  The principal down-sets are also read once into Python int
+bitsets (bit i of down[j] is set iff i <= j); the structural predicates are
+set arithmetic on them.  Instances are immutable after construction; lazy
+caches are filled with idempotent writes and are safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -106,18 +108,23 @@ class FinitePoset:
         if not elements:
             raise EmptyPosetError("a poset needs at least one element")
         n = len(elements)
-        lt = leq & ~np.eye(n, dtype=bool)
-        child = lt & ~np.matmul(lt, lt)
-        covers = tuple(
-            sorted((elements[i], elements[j]) for i, j in zip(*np.nonzero(child)))
-        )
+        # j covers i when i < j and i lies below no other element below j.
+        down = _bitsets(leq.T)
         parents = [[] for _ in range(n)]
         children = [[] for _ in range(n)]
-        for i, j in zip(*np.nonzero(child)):
-            parents[i].append(int(j))
-            children[j].append(int(i))
+        for j in range(n):
+            strict = down[j] ^ (1 << j)
+            covered = 0
+            for z in _bits(strict):
+                covered |= down[z] ^ (1 << z)
+            children[j] = _bits(strict & ~covered)
+            for i in children[j]:
+                parents[i].append(j)
+        covers = tuple(sorted((elements[i], elements[j]) for j in range(n) for i in children[j]))
         topo = _toposort(n, parents, children, elements)
-        return cls(elements, leq.copy(), covers, topo, name=name)
+        P = cls(elements, leq.copy(), covers, topo, name=name)
+        P._cache["down"] = down
+        return P
 
     # -- basic queries -----------------------------------------------------
 
@@ -149,6 +156,13 @@ class FinitePoset:
     @property
     def leq_matrix(self):
         return self._leq
+
+    def _down_sets(self):
+        """Principal down-sets as int bitsets: bit i of entry j is set iff
+        element i <= element j."""
+        if "down" not in self._cache:
+            self._cache["down"] = _bitsets(self._leq.T)
+        return self._cache["down"]
 
     def index(self, x):
         try:
@@ -312,6 +326,22 @@ def build_from_covers(elements, covers, name="poset"):
     return FinitePoset.from_covers(elements, covers, name=name)
 
 
+def _bitsets(matrix):
+    """The rows of a boolean matrix as int bitsets, column i as bit i."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _bits(mask):
+    """Indices of the set bits of an int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _toposort(n, parents, children, elements):
     indeg = [len(children[i]) for i in range(n)]
     stack = [i for i in range(n) if indeg[i] == 0]
@@ -388,22 +418,20 @@ def rank_profile(P: FinitePoset) -> RankProfile:
     for a, b in P.covers:
         children[P.index(b)].append(P.index(a))
 
+    # Row j holds the chain lengths from every element up to j; one gather
+    # over the cover children of j fills it.
     longest = np.full((n, n), _NO_CHAIN, dtype=np.int32)
     shortest = np.full((n, n), n + 1, dtype=np.int32)
-    np.fill_diagonal(longest, 0)
-    np.fill_diagonal(shortest, 0)
     for j in P._topo:
-        for z in children[j]:
-            lz = longest[:, z]
-            np.maximum(
-                longest[:, j],
-                np.where(lz >= 0, lz + 1, _NO_CHAIN),
-                out=longest[:, j],
-            )
-            sz = shortest[:, z]
-            np.minimum(shortest[:, j], sz + 1, out=shortest[:, j])
+        if children[j]:
+            lz = longest[children[j]].max(axis=0)
+            longest[j] = np.where(lz >= 0, lz + 1, _NO_CHAIN)
+            np.minimum(shortest[children[j]].min(axis=0) + 1, n + 1, out=shortest[j])
+        longest[j, j] = shortest[j, j] = 0
+    longest, shortest = longest.T, shortest.T
 
-    bad = leq & (longest != np.where(shortest <= n, shortest, _NO_CHAIN))
+    # On the order shortest <= n; off it, leq masks the fill values.
+    bad = leq & (longest != shortest)
     if bad.any():
         pairs = np.argwhere(bad)
         order = sorted(range(len(pairs)), key=lambda k: (P.elements[pairs[k][0]], P.elements[pairs[k][1]]))
@@ -411,7 +439,7 @@ def rank_profile(P: FinitePoset) -> RankProfile:
         raise NotLocallyGradedError(
             P.elements[i], P.elements[j], (int(shortest[i, j]), int(longest[i, j]))
         )
-    rho = np.where(leq, longest, _NO_CHAIN).astype(np.int32)
+    rho = longest  # _NO_CHAIN off the order, where no chain reaches
     rho.flags.writeable = False
     profile = RankProfile(P, rho)
     P._cache["rank_profile"] = profile
@@ -443,44 +471,30 @@ def is_graded(P: FinitePoset):
 class MobiusTable:
     """Möbius values on all pairs x <= y of a finite poset."""
 
-    def __init__(self, poset, rows):
+    def __init__(self, poset, values):
         self.poset = poset
-        self._rows = rows  # dict: source index -> int64 array over elements
+        self._values = values  # values[i, j] = mu(i, j) when i <= j, else 0
 
     def mu(self, x, y):
         i, j = self.poset.index(x), self.poset.index(y)
         if not self.poset.leq_matrix[i, j]:
             raise NotComparableError(x, y)
-        return int(self._rows[i][j])
+        return int(self._values[i, j])
 
     def __getitem__(self, pair):
         return self.mu(*pair)
 
     def items(self):
-        leq = self.poset.leq_matrix
         els = self.poset.elements
-        for i, row in self._rows.items():
-            for j in np.flatnonzero(leq[i]):
-                yield (els[i], els[j]), int(row[j])
+        rows, cols = np.nonzero(self.poset.leq_matrix)
+        values = self._values[rows, cols].tolist()
+        for i, j, v in zip(rows.tolist(), cols.tolist(), values):
+            yield (els[i], els[j]), int(v)
 
 
-def _mobius_row(P, i):
-    """Möbius values mu(i, j) for all j, as an int64 array."""
-    n = len(P)
-    leq = P.leq_matrix
-    mu = np.zeros(n, dtype=np.int64)
-    mu[i] = 1
-    up = leq[i]
-    guard = 2**62 // max(n, 1)
-    for j in P._topo:
-        if j == i or not up[j]:
-            continue
-        below = up & leq[:, j]
-        below[j] = False
-        mu[j] = -int(mu[below].sum())
-        if abs(mu[j]) > guard:
-            return _mobius_row_exact(P, i)
-    return mu
+# |mu| above 2^62 / n could overflow the int64 sum of n such values.
+_INT64_GUARD = 2**62
+_GATHER_ROWS = 128
 
 
 def _mobius_row_exact(P, i):
@@ -500,12 +514,30 @@ def _mobius_row_exact(P, i):
 
 
 def mobius(P: FinitePoset) -> MobiusTable:
-    """The full Möbius table, computed bottom-up over interval containment."""
+    """The full Möbius table, one column at a time in topological order:
+    mu(., j) = -sum of mu(., z) over z < j, which is 0 outside the down-set
+    of j and gives mu(i, j) for every i < j at once."""
     cached = P._cache.get("mobius")
     if cached is not None:
         return cached
-    rows = {i: _mobius_row(P, i) for i in range(len(P))}
-    table = MobiusTable(P, rows)
+    n = len(P)
+    leq = P.leq_matrix
+    guard = _INT64_GUARD // max(n, 1)
+    cols = np.zeros((n, n), dtype=np.int64)  # cols[j, i] = mu(i, j)
+    for j in P._topo:
+        below = np.flatnonzero(leq[:, j])
+        below = below[below != j]
+        col = cols[j]
+        # Gathered a block of rows at a time, to bound the temporary.
+        for start in range(0, below.size, _GATHER_ROWS):
+            col -= cols[below[start : start + _GATHER_ROWS]].sum(axis=0)
+        if below.size and np.abs(col).max() > guard:
+            values = np.array([_mobius_row_exact(P, i) for i in range(n)], dtype=object)
+            break
+        col[j] = 1
+    else:
+        values = cols.T
+    table = MobiusTable(P, values)
     P._cache["mobius"] = table
     return table
 
@@ -513,7 +545,7 @@ def mobius(P: FinitePoset) -> MobiusTable:
 def mobius_from(P: FinitePoset, x) -> dict:
     """Möbius values mu(x, y) for all y >= x, keyed by element."""
     i = P.index(x)
-    row = _mobius_row(P, i)
+    row = mobius(P)._values[i]
     return {
         P.elements[j]: int(row[j]) for j in np.flatnonzero(P.leq_matrix[i])
     }
@@ -561,23 +593,18 @@ def is_lower_eulerian(P: FinitePoset) -> LowerEulerianResult:
         return LowerEulerianResult(
             False, "not locally graded", (exc.lower, exc.upper)
         )
-    table = mobius(P)
-    leq = P.leq_matrix
-    rho = profile.rho
-    for i in sorted(range(len(P)), key=lambda k: P.elements[k]):
-        row = table._rows[i]
-        ups = np.flatnonzero(leq[i])
-        expected = np.where(rho[i, ups] % 2 == 0, 1, -1)
-        mismatch = np.asarray(row[ups] != expected)
-        if mismatch.any():
-            offenders = sorted(
-                (P.elements[int(j)] for j in ups[mismatch]),
-            )
-            return LowerEulerianResult(
-                False,
-                "Möbius value differs from rank parity",
-                (P.elements[i], offenders[0]),
-            )
+    values = mobius(P)._values
+    odd = (profile.rho & 1).astype(bool)
+    bad = P.leq_matrix & np.where(odd, values != -1, values != 1)
+    if bad.any():
+        # The witness: the first offending row by element name, then its
+        # first offender by name.
+        name = P.elements.__getitem__
+        i = min(np.flatnonzero(bad.any(axis=1)), key=name)
+        j = min(np.flatnonzero(bad[i]), key=name)
+        return LowerEulerianResult(
+            False, "Möbius value differs from rank parity", (name(i), name(j))
+        )
     return LowerEulerianResult(True)
 
 
@@ -609,82 +636,104 @@ class StructuralPredicates:
 
 def is_meet_semilattice(P: FinitePoset) -> bool:
     """Every pair of elements has a greatest lower bound."""
-    n = len(P)
-    leq = P.leq_matrix
-    # The common lower set of a pair is a principal down-set iff the pair
-    # has a meet, so signatures of down-sets decide everything.
-    signatures = {leq[:, i].tobytes() for i in range(n)}
-    for i, j in combinations(range(n), 2):
-        if leq[i, j] or leq[j, i]:
-            continue
-        common = leq[:, i] & leq[:, j]
-        if common.tobytes() not in signatures:
-            return False
-    return True
+    if "meet" not in P._cache:
+        # The common down-set of a pair is a principal down-set iff the pair
+        # has a meet.
+        down = P._down_sets()
+        principal = set(down)
+        P._cache["meet"] = all(
+            principal.issuperset(map(a.__and__, down[i + 1 :]))
+            for i, a in enumerate(down)
+        )
+    return P._cache["meet"]
 
 
-def _boolean_interval(P, profile, x) -> bool:
-    """Is [min, x] isomorphic to the Boolean lattice of rank rho(x)?"""
-    m = P.minimum()
-    k = profile.interval_rank(m, x)
-    im, ix = P.index(m), P.index(x)
-    leq = P.leq_matrix
-    members = np.flatnonzero(leq[im] & leq[:, ix])
-    if len(members) != 2**k:
+def _all_lower_intervals(P, test) -> bool:
+    """test(down-sets, atom bitset, x, rank of x) on [min, x] for every
+    maximal x; False when P is not locally graded.  Lower intervals of a
+    Boolean lattice or of a cube's face lattice are again Boolean or cube
+    lattices, so the maximal x decide for every lower interval."""
+    m = P.index(P.minimum())
+    try:
+        rho = rank_profile(P).rho[m]
+    except NotLocallyGradedError:
         return False
-    atom_ids = [i for i in members if profile.rho[im, i] == 1]
-    if len(atom_ids) != k:
+    down = P._down_sets()
+    atoms = sum(1 << int(i) for i in np.flatnonzero(rho == 1))
+    tops = [P.index(x) for x in P.maximal_elements()]
+    return all(test(down, atoms, x, int(rho[x])) for x in tops)
+
+
+def _boolean_interval(down, atoms, x, k) -> bool:
+    """Is [min, x], of rank k, isomorphic to the Boolean lattice of rank k?
+
+    With k atoms, 2^k elements with distinct atom supports have every subset
+    of the atoms as a support.  "<=" lies inside support inclusion, which
+    has 3^k pairs z <= w, so that pair count makes them equal.  The element
+    count follows from the other tests; it only ends the work early.
+    """
+    members = _bits(down[x])
+    if len(members) != 1 << k or (down[x] & atoms).bit_count() != k:
         return False
-    support = {}
-    for z in members:
-        sig = frozenset(a for a in atom_ids if leq[a, z])
-        if sig in support.values():
-            return False
-        support[z] = sig
-    for z in members:
-        for w in members:
-            if leq[z, w] != (support[z] <= support[w]):
-                return False
-    return True
+    if len({down[z] & atoms for z in members}) != len(members):
+        return False
+    return sum(down[z].bit_count() for z in members) == 3**k
 
 
-def _cube_interval(P, profile, x, templates) -> bool:
-    """Is [min, x] isomorphic to the face lattice of the (rho(x)-1)-cube?"""
-    m = P.minimum()
-    k = profile.interval_rank(m, x)
-    interval = P.interval(m, x)
+def _cube_interval(down, atoms, x, k) -> bool:
+    """Is [min, x], of rank k >= 1, the face lattice of the (k-1)-cube?
+
+    The k-1 edges at one vertex v are the axes, and the code c(u) of a vertex
+    u is the set of axes below every face above both u and v.  A face spans
+    the subcube [AND, OR] of its vertices' codes.  If the 3^(k-1) nonempty
+    faces span distinct subcubes, they span each subcube once, and on the
+    one-vertex faces c is injective.  "<=" lies inside span inclusion, which
+    has 5^(k-1) pairs, so that pair count makes them equal (Metropolis-Rota,
+    the lattice of faces of the n-cube, 1978).  The element, vertex and axis
+    counts follow from the last two tests; they only end the work early.
+    """
     if k == 0:
         return True  # the one-element interval is the (-1)-cube lattice
-    template = templates.get(k)
-    if template is None:
-        from .generators import cube_face_lattice
-
-        template = cube_face_lattice(k - 1)
-        templates[k] = template
-    if len(interval) != len(template):
+    members = _bits(down[x])
+    verts = _bits(down[x] & atoms)
+    if len(members) != 3 ** (k - 1) + 1 or len(verts) != 1 << (k - 1):
         return False
-    return posets_isomorphic(interval, template)
+    faces = [f for f in members if down[f] & atoms]  # the nonempty faces
+    v = verts[0]
+    above_v = [f for f in faces if down[f] >> v & 1]
+    axes = [f for f in above_v if (down[f] & atoms).bit_count() == 2]
+    if len(axes) != k - 1:
+        return False
+    full = (1 << (k - 1)) - 1
+    code = dict.fromkeys(verts, full)
+    for f in above_v:
+        on = sum(1 << t for t, e in enumerate(axes) if down[f] >> e & 1)
+        for u in _bits(down[f] & atoms):
+            code[u] &= on
+    spans = set()
+    for f in faces:
+        low, high = full, 0
+        for u in _bits(down[f] & atoms):
+            low &= code[u]
+            high |= code[u]
+        spans.add((low, high))
+    if len(spans) != len(faces):
+        return False
+    return sum(down[f].bit_count() - 1 for f in faces) == 5 ** (k - 1)
 
 
 def is_simplicial_poset(P: FinitePoset) -> bool:
     """Every lower interval is a Boolean lattice."""
-    P.minimum()
-    try:
-        profile = rank_profile(P)
-    except NotLocallyGradedError:
-        return False
-    return all(_boolean_interval(P, profile, x) for x in P.elements)
+    if "simplicial" not in P._cache:
+        P._cache["simplicial"] = _all_lower_intervals(P, _boolean_interval)
+    return P._cache["simplicial"]
 
 
 def is_cubical_poset(P: FinitePoset) -> bool:
     """Every lower interval is the face lattice of a cube."""
-    P.minimum()
-    try:
-        profile = rank_profile(P)
-    except NotLocallyGradedError:
-        return False
-    templates = {}
-    return all(_cube_interval(P, profile, x, templates) for x in P.elements)
+    if "cubical" not in P._cache:
+        P._cache["cubical"] = _all_lower_intervals(P, _cube_interval)
+    return P._cache["cubical"]
 
 
 def structural_predicates(P: FinitePoset) -> StructuralPredicates:

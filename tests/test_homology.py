@@ -200,9 +200,9 @@ def test_induced_maps_reduce_each_boundary_once(monkeypatch):
     built = []
     boundary = homology.ChainComplexRep.boundary
 
-    def recording(self, k):
+    def recording(self, k, *skip):
         built.append((self, k))  # held, so no id is reused
-        return boundary(self, k)
+        return boundary(self, k, *skip)
 
     monkeypatch.setattr(homology.ChainComplexRep, "boundary", recording)
     classes = maximal_interval_classes(make_family("cube-boundary", 4), FLD)
@@ -211,6 +211,17 @@ def test_induced_maps_reduce_each_boundary_once(monkeypatch):
     c4 = SimplicialComplex([("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3")])
     assert induced_inclusion_map(c4, c4.contrastar(("v0",)), 1, FLD).surjective
     assert built and len(built) == len({(id(c), k) for c, k in built})
+
+
+def test_cleared_columns_are_built_empty():
+    ccr = chain_complex(reduced_order_complex(make_family("cube-boundary", 3)), FLD)
+    full = ccr.boundary(1)
+    assert len(full) == ccr.size(1) and all(full)  # no skip set: every column
+    skip = ccr._reduce(2)[0]
+    assert skip
+    cleared = ccr.boundary(1, skip)
+    assert [col if j not in skip else {} for j, col in enumerate(full)] == cleared
+    assert cleared.size == full.size - sum(len(full[j]) for j in skip)
 
 
 def test_interval_classes_need_rank_two():

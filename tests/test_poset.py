@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_reduced_euler
@@ -448,12 +449,22 @@ def test_interval_poset_label_fallback():
     assert len(set(Int.elements)) == 3
 
 
-def test_exact_mobius_row_matches_fast_path():
-    from posetlab.poset import _mobius_row, _mobius_row_exact
+def test_exact_mobius_row_matches_fast_path(monkeypatch):
+    from posetlab import poset as poset_module
+    from posetlab.poset import _mobius_row_exact
 
     P = cube_face_lattice(2)
+    table = mobius(P)._values
+    assert table.dtype == np.int64
     for i in range(len(P)):
-        assert list(_mobius_row(P, i)) == list(_mobius_row_exact(P, i))
+        assert list(table[i]) == list(_mobius_row_exact(P, i))
+    # A guard of 0 sends every table through the exact fallback.
+    monkeypatch.setattr(poset_module, "_INT64_GUARD", 0)
+    fresh = cube_face_lattice(2)
+    exact = mobius(fresh)._values
+    assert exact.dtype == object
+    assert exact.tolist() == table.tolist()
+    assert is_lower_eulerian(fresh)
 
 
 def test_strict_upset():
