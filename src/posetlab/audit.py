@@ -9,14 +9,12 @@ than letting them pass vacuously.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .complexes import order_complex, reduced_order_complex
 from .errors import (
     BasisNotFoundError,
     EmptyPosetError,
@@ -25,7 +23,7 @@ from .errors import (
 )
 from .generators import suite
 from .homology import (
-    LinkScan,
+    IntervalBetti,
     maximal_interval_classes,
     vertex_link_map,
 )
@@ -76,7 +74,6 @@ class AuditReport:
     instance: str
     characteristic: int
     checks: list = field(default_factory=list)
-    elapsed: float = 0.0  # in-memory only; kept out of the serialized report
 
     def failures(self):
         return [c for c in self.checks if c.verdict == FAIL]
@@ -122,7 +119,10 @@ class _InstanceData:
         verdict = is_lower_eulerian(P)
         self.lower_eulerian = bool(verdict)
         self.le_witness = verdict.witness if not verdict else None
-        self.pbar = LinkScan(reduced_order_complex(P), fld)
+        # Δ(P̄) and Δ(Q̄) are scanned from one memo of interval homology.
+        self.intervals = IntervalBetti(P, fld)
+        bottom = P.minimum()
+        self.pbar = self.intervals.scan(x for x in P.elements if x != bottom)
         self.cm, self.cm_witness = self.pbar.cohen_macaulay()
         self.graded, self.rank = is_graded(P)
         self.simplicial = is_simplicial_poset(P)
@@ -160,7 +160,7 @@ class _InstanceData:
 
     @cached_property
     def qbar(self):
-        return LinkScan(order_complex(self.Q.remove_min()), self.fld)
+        return self.intervals.scan(self.Q.remove_min().elements)
 
     @cached_property
     def interval_classes(self):
@@ -674,7 +674,6 @@ def check_truncation_structure(data: _InstanceData):
 def audit_poset(P: FinitePoset, fld: FieldSpec | None = None) -> AuditReport:
     """Run every audit check against one poset instance."""
     fld = fld or FieldSpec()
-    start = time.perf_counter()
     data = _InstanceData(P, fld)
     report = AuditReport(P.name, fld.characteristic)
     report.checks.extend(check_hypotheses(data))
@@ -685,7 +684,6 @@ def audit_poset(P: FinitePoset, fld: FieldSpec | None = None) -> AuditReport:
     report.checks.extend(check_penultimate_identities(data))
     report.checks.extend(check_nonnegativity_corollaries(data))
     report.checks.extend(check_truncation_structure(data))
-    report.elapsed = time.perf_counter() - start
     return report
 
 

@@ -70,18 +70,22 @@ class UsageError(Exception):
     pass
 
 
-# A work bound for the homology commands on a file, on the largest boundary
-# matrix counted as rows x columns.  No dense matrix is built; the bound
-# stands for the link scans, which reduce one complex per face: `check cm`
-# on cube-boundary-5, the smallest refused input in the tests, takes about
-# 54 s on a 2-core machine.
+# Work bounds for the homology commands on a file, checked before the complex
+# is built.  `compute homology` runs one sparse reduction per degree over the
+# boundary entries, one per vertex of each face: Δ(cube-lattice-6 minus its
+# minimum), 4,068,545 entries, takes 9.4 s and 394 MB peak RSS on a 2-core
+# machine.
+MAX_BOUNDARY_ENTRIES = 5_000_000
+# The link scans (`classify`, `check cm`, `check buchsbaum-star`) build one
+# complex per face, so their bound stays on the largest boundary matrix
+# counted as rows x columns: `check cm` on cube-boundary-5, the smallest
+# refused input in the tests, takes about 54 s on a 2-core machine.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
-def _homology_complex(instance):
-    """The complex homology runs on, or SizeLimitError before it is built when
-    its face counts (chain counts of a poset minus its minimum; for facets, a
-    binomial bound) give a boundary matrix over MAX_BOUNDARY_CELLS."""
+def _face_counts(instance):
+    """Face counts by number of vertices, from 0: chain counts of a poset
+    minus its minimum; for facets, a binomial bound."""
     if isinstance(instance, FinitePoset):
         lt = instance.leq_matrix.astype(float)
         np.fill_diagonal(lt, 0)
@@ -90,13 +94,35 @@ def _homology_complex(instance):
         while chains.any():
             counts.append(chains.sum())
             chains = lt.T @ chains
-    else:
-        sizes = [len(f) for f in instance.facets]
-        counts = [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
+        return counts
+    sizes = [len(f) for f in instance.facets]
+    return [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
+
+
+def _complex(instance):
+    return reduced_order_complex(instance) if isinstance(instance, FinitePoset) else instance
+
+
+def _homology_complex(instance):
+    """The complex `compute homology` reduces, or SizeLimitError before it
+    is built when it has over MAX_BOUNDARY_ENTRIES boundary entries."""
+    entries = sum(k * c for k, c in enumerate(_face_counts(instance)))
+    if entries > MAX_BOUNDARY_ENTRIES:
+        raise SizeLimitError(
+            f"a chain complex of {entries:.0f} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries"
+        )
+    return _complex(instance)
+
+
+def _scanned_complex(instance):
+    """The complex the link scans run on, or SizeLimitError before it is
+    built when its largest boundary matrix has over MAX_BOUNDARY_CELLS
+    cells."""
+    counts = _face_counts(instance)
     cells, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
     if cells > MAX_BOUNDARY_CELLS:
         raise SizeLimitError(f"a {rows:.0f} x {cols:.0f} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
-    return reduced_order_complex(instance) if isinstance(instance, FinitePoset) else instance
+    return _complex(instance)
 
 
 def _field_from(args) -> FieldSpec:
@@ -195,7 +221,7 @@ def cmd_compute(args) -> int:
             "betti": {str(k): v for k, v in sorted(report.betti.items())},
         }
     elif inv == "classify":
-        classes = classify(_homology_complex(instance), fld)
+        classes = classify(_scanned_complex(instance), fld)
         payload = {
             "name": instance.name,
             "field": fld.characteristic,
@@ -225,9 +251,9 @@ def cmd_check(args) -> int:
         result = bool(verdict)
         witness = verdict.witness if not result else None
     elif pred == "cm":
-        result, witness = is_cohen_macaulay(_homology_complex(instance), fld)
+        result, witness = is_cohen_macaulay(_scanned_complex(instance), fld)
     elif pred == "buchsbaum-star":
-        result, witness = is_buchsbaum_star(_homology_complex(instance), fld)
+        result, witness = is_buchsbaum_star(_scanned_complex(instance), fld)
     elif pred == "simplicial":
         if not is_poset:
             raise UsageError("simplicial applies to posets")

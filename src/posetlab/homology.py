@@ -28,6 +28,19 @@ them most link computations:
   dimension d, and neither Δ nor the pair has d-boundaries.  So the map from
   H_d(Δ) has the rank of the rows of a top cycle basis that index d-faces
   containing σ, and its codomain has the link's top Betti number.
+
+An order complex Δ(X) needs no link built at all (`OrderComplexScan`); two
+more identities reduce its scan to the homology of open intervals of X̂,
+X with a new bottom 0̂ and top 1̂:
+
+- Links are joins: the link of a chain c_1 < ... < c_k is the join
+  Δ(0̂, c_1) * Δ(c_1, c_2) * ... * Δ(c_k, 1̂), and over a field
+  β̃_{r+1}(A * B) = sum over i + j = r of β̃_i(A) β̃_j(B) (Künneth;
+  Björner-Garsia-Stanley 1982).  In t^(i+1) powers the Betti vectors
+  multiply as polynomials, the void complex being 1.
+- Vertex deletion: Δ(X) - v = Δ(X - v), so deleting v changes only the
+  intervals (a, b) with a < v < b, which become (a, b) - v (Baclawski 1980).
+  In a link lk_{Δ-v}(σ), with σ∪{v} a chain, v lies in exactly one factor.
 """
 
 from __future__ import annotations
@@ -44,16 +57,16 @@ from .complexes import (
     is_subcomplex,
     open_interval_complex,
     order_complex,
-    reduced_order_complex,
 )
 from .errors import (
+    FaceNotInComplexError,
     NotASubcomplexError,
     OmegaNotOneDimensionalError,
     PosetLabError,
     UnknownVertexError,
 )
 from .linalg import FieldSpec
-from .poset import FinitePoset, rank_profile
+from .poset import FinitePoset, _bits, rank_profile
 
 
 class ChainComplexRep:
@@ -431,6 +444,139 @@ class LinkScan:
         return True, None
 
 
+def _chains(members, above):
+    """The chains of a set of poset elements given as a bitset, by degree,
+    each a tuple of indices going up the order; degree -1 holds ()."""
+    faces = {-1: ((),)}
+    layer = [((x,), above[x] & members) for x in _bits(members)]
+    while layer:
+        faces[len(layer[0][0]) - 1] = tuple(c for c, _ in layer)
+        layer = [(c + (y,), rest & above[y]) for c, rest in layer for y in _bits(rest)]
+    return faces
+
+
+def _join_vector(a, b):
+    """Reduced Betti vector (β̃_-1, ..., β̃_dim) of a join from its
+    factors': the product of the polynomials sum β̃_i t^(i+1)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _bad_top(vector):
+    """`_link_homology` read off a reduced Betti vector."""
+    bad = next((i - 1 for i in range(len(vector) - 1) if vector[i]), None)
+    return bad, vector[-1]
+
+
+class IntervalBetti:
+    """Reduced Betti vectors of the order complexes of sets of elements of
+    one poset over one field, each computed once and keyed by its member
+    bitset; the scans of `scan` share them."""
+
+    def __init__(self, P: FinitePoset, fld: FieldSpec):
+        self.P = P
+        self.fld = fld
+        self.below = [d ^ 1 << i for i, d in enumerate(P._down_sets())]
+        self.above = [u ^ 1 << i for i, u in enumerate(P._up_sets())]
+        self.position = [0] * len(P)
+        for k, i in enumerate(P._topo):
+            self.position[i] = k
+        self._memo = {0: (1,)}  # the empty set spans the void complex
+
+    def _vector(self, members):
+        got = self._memo.get(members)
+        if got is None:
+            faces = _chains(members, self.above)
+            ccr = ChainComplexRep(faces, self.fld.characteristic)
+            got = self._memo[members] = tuple(ccr.betti(k) for k in range(-1, len(faces) - 1))
+        return got
+
+    def scan(self, members):
+        """The `OrderComplexScan` of Δ(members)."""
+        ground = sum(1 << self.P.index(x) for x in members)
+        return OrderComplexScan(self, ground, ())
+
+
+class OrderComplexScan(LinkScan):
+    """The `LinkScan` of an order complex, read off interval Betti vectors.
+
+    The complex is Δ(V): V holds the elements of a ground set S that are
+    comparable with every element of a fixed chain B and not in B.  B is
+    empty except in `vertex_link`.  The link of a chain c of V is the join
+    of the order complexes of S ∩ (a, b) over consecutive a < b in
+    0̂ < c ∪ B < 1̂.  Deleting a vertex u from Δ(V) deletes it from the one
+    interval that holds it.  Records and witnesses come in the face order
+    of the chain-level scan, so every classifier gives the same answer.
+    """
+
+    def __init__(self, intervals: IntervalBetti, ground: int, base: tuple):
+        self.intervals = intervals
+        self.fld = intervals.fld
+        self.ground = ground
+        self.base = base  # element indices
+        for b in base:
+            ground &= intervals.above[b] | intervals.below[b]
+        self.vertex_set = ground
+
+    @cached_property
+    def delta(self):
+        P = self.intervals.P
+        members = [P.elements[i] for i in _bits(self.vertex_set)]
+        return order_complex(P.induced(members)) if members else SimplicialComplex.void()
+
+    def _link_vector(self, face, drop=None):
+        """Reduced Betti vector of the link of a face, as a join of
+        intervals; the element index `drop` is deleted from them."""
+        iv = self.intervals
+        chain = sorted([*map(iv.P.index, face), *self.base], key=iv.position.__getitem__)
+        keep = self.ground if drop is None else self.ground & ~(1 << drop)
+        vector, lower = (1,), keep
+        for x in chain:
+            vector = _join_vector(vector, iv._vector(lower & iv.below[x]))
+            lower = keep & iv.above[x]
+        return _join_vector(vector, iv._vector(lower))
+
+    @cached_property
+    def records(self):
+        return [(f, *_bad_top(self._link_vector(f))) for f in self.delta.faces()]
+
+    def vertex_link(self, v):
+        """The scan of lk(v): v joins the fixed chain."""
+        i = self.intervals.P.index(v)
+        if not self.vertex_set >> i & 1:
+            raise FaceNotInComplexError((v,))
+        return OrderComplexScan(self.intervals, self.ground, self.base + (i,))
+
+    def doubly_cm(self):
+        """As `LinkScan.doubly_cm`; lk_{Δ-v}(σ) is the join of the intervals
+        of σ with v deleted from the one that holds it."""
+        ok, wit = self.cohen_macaulay()
+        if not ok:
+            return False, wit
+        iv = self.intervals
+        # vertex -> the faces holding it, in face order; taking the vertex out
+        # keeps that order, so these run through lk(v) in its face order.
+        with_vertex = {}
+        for f in self.delta.faces():
+            for v in f:
+                with_vertex.setdefault(v, []).append(f)
+        for v in self.delta.vertices:
+            i = iv.P.index(v)
+            # v lies in every facet when it is comparable with every vertex.
+            if not self.vertex_set & ~(iv.above[i] | iv.below[i] | 1 << i):
+                return False, (v, "dimension drops")
+            for f in with_vertex[v]:
+                sigma = tuple(x for x in f if x != v)
+                bad, _ = _bad_top(self._link_vector(sigma, drop=i))
+                if bad is not None:
+                    return False, (v, (sigma, bad))
+        return True, None
+
+
 def is_cohen_macaulay(delta: SimplicialComplex, fld: FieldSpec):
     """`LinkScan.cohen_macaulay` of a fresh scan."""
     return LinkScan(delta, fld).cohen_macaulay()
@@ -465,4 +611,5 @@ def classify(delta: SimplicialComplex, fld: FieldSpec) -> ComplexClasses:
 def poset_is_cohen_macaulay(P: FinitePoset, fld: FieldSpec):
     """A poset with minimum is CM exactly when the order complex of the
     poset minus its minimum is; the cone over the minimum adds nothing."""
-    return is_cohen_macaulay(reduced_order_complex(P), fld)
+    bottom = P.minimum()
+    return IntervalBetti(P, fld).scan(x for x in P.elements if x != bottom).cohen_macaulay()

@@ -2,9 +2,10 @@
 
 A poset is stored as its irredundant cover list plus a cached boolean
 reachability matrix, so order queries and interval traversals are numpy
-row operations.  The principal down-sets are also read once into Python int
-bitsets (bit i of down[j] is set iff i <= j); the structural predicates are
-set arithmetic on them.  Instances are immutable after construction; lazy
+row operations.  The principal down-sets (and up-sets) are also read once
+into Python int bitsets (bit i of down[j] is set iff i <= j); the cover
+check, the structural predicates and the interval scans of the order complex
+are set arithmetic on them.  Instances are immutable after construction; lazy
 caches are filled with idempotent writes and are safe to share between
 threads.
 """
@@ -91,15 +92,19 @@ class FinitePoset:
         topo = _toposort(n, parents, children, elements)
         leq = _closure(n, parents, topo)
 
-        lt = leq & ~np.eye(n, dtype=bool)
+        # A cover (a, b) is redundant when some z has a < z < b; the witness
+        # is the lowest such index.
+        down, up = _bitsets(leq.T), _bitsets(leq)
         for ia, ib in cover_idx:
-            between = lt[ia] & lt[:, ib]
-            if between.any():
-                z = int(np.flatnonzero(between)[0])
+            between = up[ia] & down[ib] & ~(1 << ia | 1 << ib)
+            if between:
+                z = (between & -between).bit_length() - 1
                 raise RedundantCoverError(elements[ia], elements[ib], elements[z])
 
         covers_sorted = tuple(sorted((elements[ia], elements[ib]) for ia, ib in cover_idx))
-        return cls(elements, leq, covers_sorted, topo, name=name)
+        P = cls(elements, leq, covers_sorted, topo, name=name)
+        P._cache["down"], P._cache["up"] = down, up
+        return P
 
     @classmethod
     def _from_leq(cls, elements, leq, name="poset"):
@@ -163,6 +168,13 @@ class FinitePoset:
         if "down" not in self._cache:
             self._cache["down"] = _bitsets(self._leq.T)
         return self._cache["down"]
+
+    def _up_sets(self):
+        """Principal up-sets as int bitsets: bit j of entry i is set iff
+        element i <= element j."""
+        if "up" not in self._cache:
+            self._cache["up"] = _bitsets(self._leq)
+        return self._cache["up"]
 
     def index(self, x):
         try:
@@ -409,9 +421,12 @@ class RankProfile:
 
 def rank_profile(P: FinitePoset) -> RankProfile:
     """Ranks of all closed intervals; raises NotLocallyGradedError on failure."""
+    # The cache holds the arrays, not the profile: a profile refers back to
+    # P, and a cycle through P._cache would keep derived posets alive until
+    # a full garbage collection.
     cached = P._cache.get("rank_profile")
     if cached is not None:
-        return cached
+        return RankProfile(P, cached)
     n = len(P)
     leq = P.leq_matrix
     children = [[] for _ in range(n)]
@@ -441,9 +456,8 @@ def rank_profile(P: FinitePoset) -> RankProfile:
         )
     rho = longest  # _NO_CHAIN off the order, where no chain reaches
     rho.flags.writeable = False
-    profile = RankProfile(P, rho)
-    P._cache["rank_profile"] = profile
-    return profile
+    P._cache["rank_profile"] = rho
+    return RankProfile(P, rho)
 
 
 def is_graded(P: FinitePoset):
@@ -517,9 +531,9 @@ def mobius(P: FinitePoset) -> MobiusTable:
     """The full Möbius table, one column at a time in topological order:
     mu(., j) = -sum of mu(., z) over z < j, which is 0 outside the down-set
     of j and gives mu(i, j) for every i < j at once."""
-    cached = P._cache.get("mobius")
+    cached = P._cache.get("mobius")  # the values, as for rank_profile
     if cached is not None:
-        return cached
+        return MobiusTable(P, cached)
     n = len(P)
     leq = P.leq_matrix
     guard = _INT64_GUARD // max(n, 1)
@@ -537,9 +551,8 @@ def mobius(P: FinitePoset) -> MobiusTable:
         col[j] = 1
     else:
         values = cols.T
-    table = MobiusTable(P, values)
-    P._cache["mobius"] = table
-    return table
+    P._cache["mobius"] = values
+    return MobiusTable(P, values)
 
 
 def mobius_from(P: FinitePoset, x) -> dict:

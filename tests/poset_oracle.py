@@ -1,5 +1,6 @@
 """The poset layer as the package computed it before the down-set bitsets:
-the boolean matrix product for covers, ranks and Möbius values one cover or one row at a
+the redundant-cover test one boolean row per cover, the boolean matrix
+product for covers, ranks and Möbius values one cover or one row at a
 time, the meet test on every pair, Boolean intervals by atom supports, cube
 intervals by isomorphism with a template cube lattice, and the toric
 recursion one pair at a time.  Kept as the reference the fast paths are
@@ -16,12 +17,33 @@ from posetlab.hvectors import _graded_rank
 from posetlab.intpoly import Q_MINUS_ONE, IntPolynomial
 from posetlab.poset import (
     FinitePoset,
+    _closure,
     _toposort,
     is_graded,
     posets_isomorphic,
 )
 
 _NO_CHAIN = -1
+
+
+def redundant_cover(elements, covers):
+    """The first cover (a, b), in list order, with some z such that
+    a < z < b, and the lowest-index such z: (a, b, z), or None.  The covers
+    must name distinct elements and be acyclic."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    parents = [[] for _ in range(n)]
+    children = [[] for _ in range(n)]
+    for a, b in covers:
+        parents[index[a]].append(index[b])
+        children[index[b]].append(index[a])
+    leq = _closure(n, parents, _toposort(n, parents, children, elements))
+    lt = leq & ~np.eye(n, dtype=bool)
+    for a, b in covers:
+        between = lt[index[a]] & lt[:, index[b]]
+        if between.any():
+            return a, b, elements[int(np.flatnonzero(between)[0])]
+    return None
 
 
 def from_leq(elements, leq, name="poset"):

@@ -1,6 +1,8 @@
 """The link-scan classifiers against the face-by-face oracle in
 `classifier_oracle.py`: same flags and the same first-failure witnesses, at
-p = 2, 3 and 101, on a fixed seeded sample of complexes.
+p = 2, 3 and 101, on a fixed seeded sample of complexes.  The scan of an
+order complex from interval Betti numbers is checked against the
+chain-level scan the same way, on a fixed sample of posets.
 """
 
 import random
@@ -8,14 +10,18 @@ import random
 import pytest
 
 import classifier_oracle as oracle
-from posetlab.complexes import SimplicialComplex, reduced_order_complex
+from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
+from posetlab.errors import FaceNotInComplexError
 from posetlab.generators import (
+    boolean_lattice,
+    face_poset_of_complex,
     make_family,
     path_complex,
     random_pure_subcomplex,
     simplex_boundary_complex,
 )
 from posetlab.homology import (
+    IntervalBetti,
     LinkScan,
     classify,
     is_buchsbaum,
@@ -24,6 +30,7 @@ from posetlab.homology import (
     is_doubly_cm,
 )
 from posetlab.linalg import FieldSpec
+from posetlab.poset import build_from_covers
 
 PAIRS = (
     (is_cohen_macaulay, oracle.is_cohen_macaulay),
@@ -92,3 +99,81 @@ def test_vertex_link_scan_matches_fresh_scan(p):
             assert got.delta == fresh.delta
             assert got.records == fresh.records, (delta, v)
             assert got.doubly_cm() == fresh.doubly_cm(), (delta, v)
+
+
+# -- the order-complex scan against the chain-level scan -------------------------
+
+CLASSIFIERS = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
+
+
+def rp2():
+    """The 6-vertex real projective plane: F_3-acyclic, but H_1 = F_2 over F_2."""
+    facets = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+    ]
+    return SimplicialComplex([[f"v{i}" for i in f] for f in facets], name="rp2")
+
+
+def drawn_poset(seed):
+    """An induced subposet of the Boolean lattice of rank 4 under a new
+    minimum: often ungraded, not Cohen-Macaulay, or not doubly so."""
+    rng = random.Random(seed)
+    B = boolean_lattice(4)
+    members = rng.sample([x for x in B.elements if x != "e"], rng.randint(4, 10))
+    return B.induced(members, name=f"drawn-s{seed}").attach_min()
+
+
+def poset_samples():
+    out = [drawn_poset(seed) for seed in range(24)]
+    out += [build_from_covers(["0"], [], name="point"), face_poset_of_complex(rp2(), name="rp2")]
+    out += [make_family("boolean", 3), make_family("cube-boundary", 3), make_family("cycle", 4)]
+    return out
+
+
+def chain_level(P, members, fld):
+    members = list(members)
+    delta = order_complex(P.induced(members)) if members else SimplicialComplex.void()
+    return LinkScan(delta, fld)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_order_complex_scan_matches_chain_level_scan(p):
+    """Δ(P̄) and Δ(P̄ minus its maximal elements), from one memo, and the
+    scan of the link of every element."""
+    fld = FieldSpec(p)
+    seen = set()
+    for P in poset_samples():
+        intervals = IntervalBetti(P, fld)
+        pbar = [x for x in P.elements if x != P.minimum()]
+        qbar = [x for x in pbar if x not in P.maximal_elements()]
+        for members in (pbar, qbar):
+            fast, slow = intervals.scan(members), chain_level(P, members, fld)
+            pairs = [(fast, slow)] + [(fast.vertex_link(v), slow.vertex_link(v)) for v in members]
+            for got, want in pairs:
+                assert got.delta == want.delta, P.name
+                assert got.records == want.records, P.name
+                for name in CLASSIFIERS:
+                    flag, wit = getattr(got, name)()
+                    assert (flag, wit) == getattr(want, name)(), (P.name, name)
+                    if not flag:
+                        seen.add(name)
+                ok, wit = got.doubly_cm()
+                if not ok and got.cohen_macaulay()[0] and isinstance(wit[1], tuple):
+                    seen.add("doubly CM fails at a face")
+    assert seen == {*CLASSIFIERS, "doubly CM fails at a face"}
+
+
+def test_rp2_face_poset_is_cohen_macaulay_over_f3_only():
+    P = face_poset_of_complex(rp2(), name="rp2")
+    pbar = [x for x in P.elements if x != P.minimum()]
+    assert not IntervalBetti(P, FieldSpec(2)).scan(pbar).cohen_macaulay()[0]
+    for p in (3, 101):
+        assert IntervalBetti(P, FieldSpec(p)).scan(pbar).cohen_macaulay() == (True, None)
+
+
+def test_vertex_link_of_a_non_vertex_is_refused():
+    P = make_family("boolean", 2)
+    scan = IntervalBetti(P, FieldSpec(2)).scan(["1", "2"])
+    with pytest.raises(FaceNotInComplexError):
+        scan.vertex_link(scan.delta.vertices[0]).vertex_link(scan.delta.vertices[1])

@@ -1,9 +1,11 @@
-"""The poset layer against `poset_oracle.py`, the code it replaced: covers of
-derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
+"""The poset layer against `poset_oracle.py`, the code it replaced: the
+redundant-cover check, covers of derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
 meet, simplicial and cubical tests, and the toric polynomials.  Drawn
 instances are small; the `large` tier runs the cli-files inputs of 730
 elements (`pytest -m large`).
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import poset_oracle as oracle
 from posetlab import poset as poset_module
-from posetlab.errors import NotLowerGradedError, PosetLabError
+from posetlab.errors import NotLowerGradedError, PosetLabError, RedundantCoverError
 from posetlab.generators import boolean_lattice, cube_face_lattice, make_family
 from posetlab.hvectors import cubical_h, short_cubical_h, toric_face_polynomials, toric_h
 from posetlab.poset import (
@@ -194,6 +196,27 @@ def test_poset_layer_matches_oracle(data):
     P = data.draw(posets())
     members = data.draw(st.lists(st.sampled_from(P.elements), min_size=1, unique=True))
     check_against_oracle(P, members)
+
+
+def test_redundant_cover_check_matches_oracle():
+    """Drawn acyclic cover lists, many of them redundant, with the elements
+    listed in shuffled order so that index order is not the order."""
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        elements = [f"e{i}" for i in rng.sample(range(n), n)]
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 12))}
+        covers = [(f"e{a}", f"e{b}") for a, b in rng.sample(sorted(pairs), len(pairs))]
+        want = oracle.redundant_cover(elements, covers)
+        seen.add(want is None)
+        if want is None:
+            assert FinitePoset.from_covers(elements, covers).covers == tuple(sorted(covers))
+        else:
+            with pytest.raises(RedundantCoverError) as err:
+                FinitePoset.from_covers(elements, covers)
+            assert (err.value.lower, err.value.upper, err.value.witness) == want
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name, build", NEAR_MISSES, ids=[n for n, _ in NEAR_MISSES])
