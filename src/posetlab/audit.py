@@ -22,11 +22,7 @@ from .errors import (
     OmegaNotOneDimensionalError,
 )
 from .generators import suite
-from .homology import (
-    IntervalBetti,
-    maximal_interval_classes,
-    vertex_link_map,
-)
+from .homology import IntervalBetti, _interval_classes
 from .hvectors import cubical_h, simplicial_h, toric_h
 from .linalg import FieldSpec
 from .poset import (
@@ -164,7 +160,7 @@ class _InstanceData:
 
     @cached_property
     def interval_classes(self):
-        return maximal_interval_classes(self.P, self.fld)
+        return _interval_classes(self.P, self.qbar.top_cycles[0], self.fld)
 
     @cached_property
     def cubical_entries(self):
@@ -601,9 +597,6 @@ def check_truncation_structure(data: _InstanceData):
         reason = _skip_reason(data) or "rank below 2"
         return [_na(cid, anch, reason) for cid, anch in ids]
 
-    fld = data.fld
-    q_bar = data.Q.remove_min()
-    delta_qbar = data.qbar.delta
     recs = []
 
     interval_ok = True
@@ -640,17 +633,14 @@ def check_truncation_structure(data: _InstanceData):
     else:
         recs.append(_na(ids[3][0], ids[3][1], "hypotheses failed"))
 
-    surj_ok = True
-    surj_wit = None
-    for x in sorted(q_bar.minimal_elements()):
-        report = vertex_link_map(delta_qbar, x, fld)
-        if not report.surjective:
-            surj_ok, surj_wit = False, (x, report.rank, report.codomain_dim)
-            break
+    # P is graded of rank >= 2: its atoms are the minimal vertices of Δ(Q̄).
+    tops = {f: top for f, _, top in data.qbar.records if len(f) == 1}
+    maps = ((x, data.qbar.top_rank((x,)), tops[(x,)]) for x in data.atoms)
+    surj_wit = next((m for m in maps if m[1] != m[2]), None)
     recs.append(
         CheckRecord(
-            ids[4][0], ids[4][1], surj_ok, True,
-            PASS if surj_ok else FAIL, witness=surj_wit,
+            ids[4][0], ids[4][1], surj_wit is None, True,
+            PASS if surj_wit is None else FAIL, witness=surj_wit,
         )
     )
 
@@ -660,7 +650,7 @@ def check_truncation_structure(data: _InstanceData):
         len(transversal.intersection(f)) == 1 for f in delta_pbar.facets
     )
     deleted = delta_pbar.delete_vertices(data.maximals)
-    same = deleted == delta_qbar
+    same = deleted == data.qbar.delta
     recs.append(
         CheckRecord(
             ids[5][0], ids[5][1],

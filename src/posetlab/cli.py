@@ -18,7 +18,13 @@ from . import generators
 from .audit import run_suite
 from .complexes import complex_from_dict, complex_to_dict, reduced_order_complex
 from .errors import PosetLabError, SizeLimitError
-from .homology import classify, is_buchsbaum_star, is_cohen_macaulay, reduced_homology
+from .homology import (
+    classify,
+    is_buchsbaum_star,
+    is_cohen_macaulay,
+    poset_is_cohen_macaulay,
+    reduced_homology,
+)
 from .hvectors import cubical_h, short_cubical_h, simplicial_h, toric_h
 from .linalg import DEFAULT_PRIME, FieldSpec
 from .poset import (
@@ -71,15 +77,16 @@ class UsageError(Exception):
 
 
 # Work bounds for the homology commands on a file, checked before the complex
-# is built.  `compute homology` runs one sparse reduction per degree over the
-# boundary entries, one per vertex of each face: Δ(cube-lattice-6 minus its
-# minimum), 4,068,545 entries, takes 9.4 s and 394 MB peak RSS on a 2-core
-# machine.
+# is built, with timings on a 2-core machine.  `compute homology` runs one
+# sparse reduction per degree over the boundary entries, one per vertex of
+# each face; `check cm` on a poset file reduces the open intervals of the same
+# order complex.  On cube-lattice-6, 4,068,545 entries, single runs took 15 s
+# and 391 MB peak RSS for homology, and 50 s and 482 MB for `check cm`.
 MAX_BOUNDARY_ENTRIES = 5_000_000
-# The link scans (`classify`, `check cm`, `check buchsbaum-star`) build one
-# complex per face, so their bound stays on the largest boundary matrix
-# counted as rows x columns: `check cm` on cube-boundary-5, the smallest
-# refused input in the tests, takes about 54 s on a 2-core machine.
+# The chain-level link scans (`classify`, `check buchsbaum-star`, `check cm`
+# on facet files) build one complex per face, so their bound stays on the
+# largest boundary matrix counted as rows x columns: `check buchsbaum-star` on
+# cube-boundary-5, the smallest refused input in the tests, takes 62 s.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
@@ -103,21 +110,19 @@ def _complex(instance):
     return reduced_order_complex(instance) if isinstance(instance, FinitePoset) else instance
 
 
-def _homology_complex(instance):
-    """The complex `compute homology` reduces, or SizeLimitError before it
-    is built when it has over MAX_BOUNDARY_ENTRIES boundary entries."""
+def _bounded(instance):
+    """The instance, or SizeLimitError over MAX_BOUNDARY_ENTRIES boundary entries."""
     entries = sum(k * c for k, c in enumerate(_face_counts(instance)))
     if entries > MAX_BOUNDARY_ENTRIES:
         raise SizeLimitError(
             f"a chain complex of {entries:.0f} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries"
         )
-    return _complex(instance)
+    return instance
 
 
 def _scanned_complex(instance):
-    """The complex the link scans run on, or SizeLimitError before it is
-    built when its largest boundary matrix has over MAX_BOUNDARY_CELLS
-    cells."""
+    """The complex the chain-level link scans run on, or SizeLimitError
+    first when its largest boundary matrix has over MAX_BOUNDARY_CELLS cells."""
     counts = _face_counts(instance)
     cells, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
     if cells > MAX_BOUNDARY_CELLS:
@@ -214,7 +219,7 @@ def cmd_compute(args) -> int:
             return 0
         payload = report.to_dict()
     elif inv == "homology":
-        report = reduced_homology(_homology_complex(instance), fld)
+        report = reduced_homology(_complex(_bounded(instance)), fld)
         payload = {
             "name": instance.name,
             "field": fld.characteristic,
@@ -250,6 +255,8 @@ def cmd_check(args) -> int:
         verdict = is_lower_eulerian(instance)
         result = bool(verdict)
         witness = verdict.witness if not result else None
+    elif pred == "cm" and is_poset:
+        result, witness = poset_is_cohen_macaulay(_bounded(instance), fld)
     elif pred == "cm":
         result, witness = is_cohen_macaulay(_scanned_complex(instance), fld)
     elif pred == "buchsbaum-star":

@@ -149,8 +149,3 @@ class SizeLimitError(PosetLabError):
     def __init__(self, what, limit):
         super().__init__(f"{what} exceeds the size guard ({limit})")
 
-
-class HypothesisFailedError(PosetLabError):
-    def __init__(self, hypothesis):
-        self.hypothesis = hypothesis
-        super().__init__(f"hypothesis failed: {hypothesis}")

@@ -25,9 +25,10 @@ them most link computations:
   the faces σ of lk_Δ(v) need new homology.  A CM complex is pure, so Δ - v
   drops dimension exactly when v lies in every facet.
 - Buchsbaum* by excision: H_d(Δ, cost σ) ≅ H̃_{d-|σ|}(lk σ) for pure Δ of
-  dimension d, and neither Δ nor the pair has d-boundaries.  So the map from
-  H_d(Δ) has the rank of the rows of a top cycle basis that index d-faces
-  containing σ, and its codomain has the link's top Betti number.
+  dimension d, and neither side has d-boundaries.  So the map from H_d(Δ) has
+  the rank of the rows of a top cycle basis at the d-faces containing σ, and
+  the link's top Betti number as codomain.  For σ = {v} it is the map of
+  `vertex_link_map`, which the audit's atom-link check reads off that basis.
 
 An order complex Δ(X) needs no link built at all (`OrderComplexScan`); two
 more identities reduce its scan to the homology of open intervals of X̂,
@@ -201,9 +202,6 @@ class HomologyReport:
     def alternating_sum(self):
         return sum((-1) ** (k % 2) * b for k, b in self.betti.items())
 
-    def top_dim(self):
-        return max(self.betti) if self.betti else -1
-
 
 def reduced_homology(delta: SimplicialComplex, fld: FieldSpec) -> HomologyReport:
     ccr = chain_complex(delta, fld)
@@ -314,15 +312,16 @@ class MaximalIntervalClasses:
 
 
 def maximal_interval_classes(P: FinitePoset, fld: FieldSpec) -> MaximalIntervalClasses:
-    profile = rank_profile(P)
-    d = profile.top_rank
-    if d < 2:
+    if rank_profile(P).top_rank < 2:
         raise PosetLabError("interval classes need rank at least 2")
+    ambient = order_complex(P.remove_maximal().remove_min())
+    return _interval_classes(P, chain_complex(ambient, fld), fld)
+
+
+def _interval_classes(P, amb_ccr, fld):
+    """`maximal_interval_classes`, given the chain complex of Δ(Q̄)."""
+    deg = rank_profile(P).top_rank - 2
     bottom = P.minimum()
-    q_bar = P.remove_maximal().remove_min()
-    ambient = order_complex(q_bar)
-    amb_ccr = chain_complex(ambient, fld)
-    deg = d - 2
     ambient_dim = len(amb_ccr.homology_basis(deg))  # as in `_induced_report`
     p = fld.characteristic
     classes = {}
@@ -418,15 +417,13 @@ class LinkScan:
                     return False, (v, (sigma, bad))
         return True, None
 
-    def buchsbaum_star(self):
-        """Buchsbaum, plus top homology surjects onto every contrastar pair;
-        the witness is the first (face, rank of that map) that falls short."""
-        ok, wit = self.buchsbaum()
-        if not ok:
-            return False, wit
+    @cached_property
+    def top_cycles(self):
+        """The chain complex of Δ, its top cycle basis by d-face index as
+        {basis position: coefficient} and the d-faces holding each nonempty face."""
         ccr = chain_complex(self.delta, self.fld)
         d = self.delta.dim
-        by_face = {}  # d-face index -> {top cycle position: coefficient}
+        by_face = {}
         for n, cycle in enumerate(ccr.homology_basis(d)):
             for i, v in cycle.items():
                 by_face.setdefault(i, {})[n] = v
@@ -435,13 +432,24 @@ class LinkScan:
             for k in range(1, len(facet) + 1):
                 for sub in combinations(facet, k):
                     rows.setdefault(sub, []).append(j)
-        for f, _, top in self.records:
-            if f and top:
-                restricted = (by_face.get(i, {}) for i in rows[f])
-                rank = linalg.rank(restricted, self.fld.characteristic)
-                if rank < top:
-                    return False, (f, rank)
-        return True, None
+        return ccr, by_face, rows
+
+    def top_rank(self, face):
+        """Rank of H̃_d(Δ) → H̃_{d-|σ|}(lk σ) for a nonempty face σ of a pure Δ
+        of dimension d, by excision (see the module docstring)."""
+        _, by_face, rows = self.top_cycles
+        restricted = (by_face.get(i, {}) for i in rows.get(face, ()))
+        return linalg.rank(restricted, self.fld.characteristic)
+
+    def buchsbaum_star(self):
+        """Buchsbaum, plus top homology surjects onto every contrastar pair;
+        the witness is the first (face, rank of that map) that falls short."""
+        ok, wit = self.buchsbaum()
+        if not ok:
+            return False, wit
+        ranks = ((f, self.top_rank(f), top) for f, _, top in self.records if f and top)
+        hit = next(((f, rank) for f, rank, top in ranks if rank < top), None)
+        return hit is None, hit
 
 
 def _chains(members, above):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from posetlab import audit, homology
 from posetlab.audit import (
     FAIL,
     INAPPLICABLE,
@@ -11,10 +12,12 @@ from posetlab.audit import (
     run_suite,
     select_basis,
 )
+from posetlab.complexes import order_complex
 from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
     face_poset_of_complex,
+    make_family,
     points_complex,
     random_pure_subcomplex,
 )
@@ -69,6 +72,30 @@ def test_cube_boundary_audit():
     assert checks["basis-deficiency-bound"].lhs == 11
     assert checks["basis-deficiency-bound"].rhs == 15
     assert report.passed
+
+
+def test_audit_builds_the_chain_complex_of_qbar_once(monkeypatch):
+    """Atom-link surjectivity, Buchsbaum* and the interval classes read one
+    top cycle basis of Δ(Q̄); `vertex_link_map` is off the audit path."""
+    P = make_family("cube-boundary", 4)
+    delta_qbar = order_complex(P.remove_maximal().remove_min())
+    built = []
+    build = homology.chain_complex
+
+    def counting(delta, fld):
+        built.append(delta)
+        return build(delta, fld)
+
+    def refused(*args):
+        raise AssertionError("vertex_link_map is called")
+
+    monkeypatch.setattr(homology, "chain_complex", counting)
+    monkeypatch.setattr(homology, "vertex_link_map", refused)
+    monkeypatch.setattr(audit, "vertex_link_map", refused, raising=False)
+    checks = by_id(audit_poset(P))
+    for cid in ("truncation-buchsbaum-star", "atom-link-surjectivity", "basis-size"):
+        assert checks[cid].verdict == PASS, cid
+    assert sum(delta == delta_qbar for delta in built) == 1
 
 
 def test_rank_one_poset_passes_trivially():

@@ -1,7 +1,9 @@
 """The audit at the scale of the paper's families, outside tier-1
 (`pytest -m large`): no check fails on boolean-6, cube-lattice-4 and
-cube-boundary-5, within the run-time targets, and the order-complex scans the
-audit reads agree record by record with the chain-level scan.
+cube-boundary-5, within the run-time targets; the order-complex scans the
+audit reads agree record by record with the chain-level scan; and the
+atom-link ranks it reads off the top cycles of Δ(Q̄) agree with
+`vertex_link_map` on cube-boundary-5.
 """
 
 import time
@@ -11,7 +13,7 @@ import pytest
 from posetlab.audit import FAIL, audit_poset
 from posetlab.complexes import order_complex, reduced_order_complex
 from posetlab.generators import make_family
-from posetlab.homology import IntervalBetti, LinkScan
+from posetlab.homology import IntervalBetti, LinkScan, vertex_link_map
 from posetlab.linalg import FieldSpec
 
 pytestmark = pytest.mark.large
@@ -45,3 +47,12 @@ def test_order_complex_scans_match_chain_level_scans(family, n):
         assert pbar.vertex_link(y).records == slow.vertex_link(y).records, y
     Q = P.remove_maximal().remove_min()
     assert intervals.scan(Q.elements).records == LinkScan(order_complex(Q), FLD).records
+
+
+def test_atom_top_ranks_match_vertex_link_maps():
+    P = make_family("cube-boundary", 5)
+    scan = IntervalBetti(P, FLD).scan(P.remove_maximal().remove_min().elements)
+    tops = {f: top for f, _, top in scan.records if len(f) == 1}
+    for x in P.atoms():
+        report = vertex_link_map(scan.delta, x, FLD)
+        assert (scan.top_rank((x,)), tops[(x,)]) == (report.rank, report.codomain_dim), x

@@ -2,12 +2,15 @@
 `classifier_oracle.py`: same flags and the same first-failure witnesses, at
 p = 2, 3 and 101, on a fixed seeded sample of complexes.  The scan of an
 order complex from interval Betti numbers is checked against the
-chain-level scan the same way, on a fixed sample of posets.
+chain-level scan the same way, on a fixed sample of posets.  The vertex
+top ranks the audit reads off a scan's top cycle basis are checked against
+`vertex_link_map`.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import classifier_oracle as oracle
 from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
@@ -19,6 +22,7 @@ from posetlab.generators import (
     path_complex,
     random_pure_subcomplex,
     simplex_boundary_complex,
+    suite,
 )
 from posetlab.homology import (
     IntervalBetti,
@@ -28,6 +32,7 @@ from posetlab.homology import (
     is_buchsbaum_star,
     is_cohen_macaulay,
     is_doubly_cm,
+    vertex_link_map,
 )
 from posetlab.linalg import FieldSpec
 from posetlab.poset import build_from_covers
@@ -177,3 +182,49 @@ def test_vertex_link_of_a_non_vertex_is_refused():
     scan = IntervalBetti(P, FieldSpec(2)).scan(["1", "2"])
     with pytest.raises(FaceNotInComplexError):
         scan.vertex_link(scan.delta.vertices[0]).vertex_link(scan.delta.vertices[1])
+
+
+# -- top ranks against the vertex link map ---------------------------------------
+
+
+def top_rank_pairs(scan, fld):
+    """Per vertex v of a pure complex: (top_rank((v,)), top Betti number of
+    v's record) and `vertex_link_map`'s (rank, codomain_dim)."""
+    tops = {f: top for f, _, top in scan.records if len(f) == 1}
+    for v in scan.delta.vertices:
+        report = vertex_link_map(scan.delta, v, fld)
+        yield v, (scan.top_rank((v,)), tops[(v,)]), (report.rank, report.codomain_dim)
+
+
+def qbar_scans(fld):
+    """The order-complex scans of Δ(Q̄), Q̄ = P minus its minimum and its
+    maximal elements, for the suite instances where Q̄ is not empty."""
+    for _, P in suite():
+        if P.has_minimum and len(P.maximal_elements()) + 1 < len(P):
+            yield IntervalBetti(P, fld).scan(P.remove_maximal().remove_min().elements)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_top_rank_matches_vertex_link_map(p):
+    fld = FieldSpec(p)
+    shapes = ((5, 1), (6, 2), (7, 2), (6, 3))
+    drawn = [random_pure_subcomplex(n, d, seed) for n, d in shapes for seed in range(4)]
+    scans = [LinkScan(delta, fld) for delta in drawn] + list(qbar_scans(fld))
+    short = 0
+    for scan in scans:
+        assert scan.delta.is_pure()
+        for v, got, want in top_rank_pairs(scan, fld):
+            assert got == want, (scan.delta, v)
+            short += want[0] < want[1]
+    assert short  # some vertex link is not reached
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_top_rank_matches_vertex_link_map_on_drawn_pure_complexes(data):
+    n = data.draw(st.integers(2, 7))
+    d, seed = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2**32))
+    delta = random_pure_subcomplex(n, d, seed)
+    fld = FieldSpec(data.draw(st.sampled_from([2, 3, 101])))
+    for v, got, want in top_rank_pairs(LinkScan(delta, fld), fld):
+        assert got == want, (delta, v)

@@ -224,12 +224,11 @@ def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):
     assert run_cli("compute", "homology", str(cb5)) == 0
     betti = json.loads(capsys.readouterr().out)["betti"]
     assert betti == {"-1": 0, "0": 0, "1": 0, "2": 0, "3": 0, "4": 1}
-    # The link scans on the same file are still refused.
-    for argv in (
-        ("compute", "classify"),
-        ("check", "cm"),
-        ("check", "buchsbaum-star"),
-    ):
+    # So is the interval scan of `check cm` on a poset file.
+    assert run_cli("check", "cm", str(cb5)) == 0
+    assert json.loads(capsys.readouterr().out)["result"] is True
+    # The chain-level link scans on the same file are still refused.
+    for argv in (("compute", "classify"), ("check", "buchsbaum-star")):
         assert run_cli(*argv, str(cb5)) == 2
         assert "8160 x 9600 boundary matrix exceeds the size guard" in capsys.readouterr().err
     assert run_cli("compute", "homology", str(huge)) == 2
