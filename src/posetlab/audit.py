@@ -22,7 +22,7 @@ from .errors import (
     OmegaNotOneDimensionalError,
 )
 from .generators import suite
-from .homology import IntervalBetti, _interval_classes
+from .homology import _interval_classes, poset_scan
 from .hvectors import cubical_h, simplicial_h, toric_h
 from .linalg import FieldSpec
 from .poset import (
@@ -116,9 +116,7 @@ class _InstanceData:
         self.lower_eulerian = bool(verdict)
         self.le_witness = verdict.witness if not verdict else None
         # Δ(P̄) and Δ(Q̄) are scanned from one memo of interval homology.
-        self.intervals = IntervalBetti(P, fld)
-        bottom = P.minimum()
-        self.pbar = self.intervals.scan(x for x in P.elements if x != bottom)
+        self.pbar = poset_scan(P, fld)
         self.cm, self.cm_witness = self.pbar.cohen_macaulay()
         self.graded, self.rank = is_graded(P)
         self.simplicial = is_simplicial_poset(P)
@@ -156,7 +154,7 @@ class _InstanceData:
 
     @cached_property
     def qbar(self):
-        return self.intervals.scan(self.Q.remove_min().elements)
+        return self.pbar.intervals.scan(self.Q.remove_min().elements)
 
     @cached_property
     def interval_classes(self):

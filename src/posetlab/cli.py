@@ -16,15 +16,9 @@ import numpy as np
 
 from . import generators
 from .audit import run_suite
-from .complexes import complex_from_dict, complex_to_dict, reduced_order_complex
+from .complexes import complex_from_dict, complex_to_dict
 from .errors import PosetLabError, SizeLimitError
-from .homology import (
-    classify,
-    is_buchsbaum_star,
-    is_cohen_macaulay,
-    poset_is_cohen_macaulay,
-    reduced_homology,
-)
+from .homology import LinkScan, poset_scan
 from .hvectors import cubical_h, short_cubical_h, simplicial_h, toric_h
 from .linalg import DEFAULT_PRIME, FieldSpec
 from .poset import (
@@ -76,17 +70,18 @@ class UsageError(Exception):
     pass
 
 
-# Work bounds for the homology commands on a file, checked before the complex
-# is built, with timings on a 2-core machine.  `compute homology` runs one
-# sparse reduction per degree over the boundary entries, one per vertex of
-# each face; `check cm` on a poset file reduces the open intervals of the same
-# order complex.  On cube-lattice-6, 4,068,545 entries, single runs took 15 s
-# and 391 MB peak RSS for homology, and 50 s and 482 MB for `check cm`.
+# Work bounds for the homology commands on a file, checked before anything
+# is built, with single-run timings on a 2-core machine.  Boundary entries,
+# one per vertex of each face, bound `compute homology`, `compute chi` on
+# facet files (it lists every face) and, on poset files, `check cm` and
+# `check buchsbaum-star`, which reduce open intervals of the same order
+# complex.  On cube-lattice-6, 4,068,545 entries, these took 6.9 s / 372 MB,
+# 54 s / 482 MB and 59 s / 561 MB (time / peak RSS).
 MAX_BOUNDARY_ENTRIES = 5_000_000
-# The chain-level link scans (`classify`, `check buchsbaum-star`, `check cm`
-# on facet files) build one complex per face, so their bound stays on the
-# largest boundary matrix counted as rows x columns: `check buchsbaum-star` on
-# cube-boundary-5, the smallest refused input in the tests, takes 62 s.
+# `compute classify` (whose doubly CM step the entries do not bound) and the
+# chain-level scans of facet files, which build one complex per face, stay
+# under a bound on the largest boundary matrix, counted as rows x columns:
+# `compute classify` on cube-boundary-5, refused in the tests, takes 55 s.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
@@ -106,28 +101,26 @@ def _face_counts(instance):
     return [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
 
 
-def _complex(instance):
-    return reduced_order_complex(instance) if isinstance(instance, FinitePoset) else instance
-
-
-def _bounded(instance):
-    """The instance, or SizeLimitError over MAX_BOUNDARY_ENTRIES boundary entries."""
-    entries = sum(k * c for k, c in enumerate(_face_counts(instance)))
-    if entries > MAX_BOUNDARY_ENTRIES:
-        raise SizeLimitError(
-            f"a chain complex of {entries:.0f} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries"
-        )
+def _bounded(instance, cells=False):
+    """The instance, or SizeLimitError over MAX_BOUNDARY_ENTRIES boundary
+    entries, or with `cells` when its largest boundary matrix has over
+    MAX_BOUNDARY_CELLS cells."""
+    counts = _face_counts(instance)
+    entries = sum(k * c for k, c in enumerate(counts))
+    size, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
+    if cells and size > MAX_BOUNDARY_CELLS:
+        raise SizeLimitError(f"a {rows:.0f} x {cols:.0f} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
+    if not cells and entries > MAX_BOUNDARY_ENTRIES:
+        raise SizeLimitError(f"a chain complex of {entries:.0f} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries")
     return instance
 
 
-def _scanned_complex(instance):
-    """The complex the chain-level link scans run on, or SizeLimitError
-    first when its largest boundary matrix has over MAX_BOUNDARY_CELLS cells."""
-    counts = _face_counts(instance)
-    cells, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
-    if cells > MAX_BOUNDARY_CELLS:
-        raise SizeLimitError(f"a {rows:.0f} x {cols:.0f} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
-    return _complex(instance)
+def _scan(instance, fld, cells=False):
+    """The link scan of a file's complex, after `_bounded`: the interval scan
+    of Δ(P − 0̂) for a poset, the chain-level scan for a facet file."""
+    if isinstance(_bounded(instance, cells), FinitePoset):
+        return poset_scan(instance, fld)
+    return LinkScan(instance, fld)
 
 
 def _field_from(args) -> FieldSpec:
@@ -198,11 +191,7 @@ def cmd_compute(args) -> int:
             raise UsageError(_POSET_ONLY)
         payload = {"name": instance.name, "psi": rank_alternating_sum(instance)}
     elif inv == "chi":
-        value = (
-            reduced_euler_char(instance)
-            if is_poset
-            else instance.reduced_euler_char()
-        )
+        value = reduced_euler_char(instance) if is_poset else _bounded(instance).reduced_euler_char()
         payload = {"name": instance.name, "chi": value}
     elif inv in _H_VECTORS:
         if not is_poset:
@@ -219,23 +208,16 @@ def cmd_compute(args) -> int:
             return 0
         payload = report.to_dict()
     elif inv == "homology":
-        report = reduced_homology(_complex(_bounded(instance)), fld)
+        betti = _scan(instance, fld).betti()
         payload = {
             "name": instance.name,
             "field": fld.characteristic,
-            "betti": {str(k): v for k, v in sorted(report.betti.items())},
+            "betti": {str(k): v for k, v in sorted(betti.items())},
         }
     elif inv == "classify":
-        classes = classify(_scanned_complex(instance), fld)
-        payload = {
-            "name": instance.name,
-            "field": fld.characteristic,
-            "cohen_macaulay": classes.cohen_macaulay,
-            "buchsbaum": classes.buchsbaum,
-            "doubly_cm": classes.doubly_cm,
-            "gorenstein_star": classes.gorenstein_star,
-            "buchsbaum_star": classes.buchsbaum_star,
-        }
+        classes = _scan(instance, fld, cells=True).classes()
+        flags = {name: flag for name, flag in vars(classes).items() if name != "witnesses"}
+        payload = {"name": instance.name, "field": fld.characteristic, **flags}
     else:
         raise UsageError(f"unknown invariant: {inv}")
     _emit(_dump(payload), args.output)
@@ -255,12 +237,9 @@ def cmd_check(args) -> int:
         verdict = is_lower_eulerian(instance)
         result = bool(verdict)
         witness = verdict.witness if not result else None
-    elif pred == "cm" and is_poset:
-        result, witness = poset_is_cohen_macaulay(_bounded(instance), fld)
-    elif pred == "cm":
-        result, witness = is_cohen_macaulay(_scanned_complex(instance), fld)
-    elif pred == "buchsbaum-star":
-        result, witness = is_buchsbaum_star(_scanned_complex(instance), fld)
+    elif pred in ("cm", "buchsbaum-star"):
+        scan = _scan(instance, fld, cells=not is_poset)
+        result, witness = scan.cohen_macaulay() if pred == "cm" else scan.buchsbaum_star()
     elif pred == "simplicial":
         if not is_poset:
             raise UsageError("simplicial applies to posets")

@@ -42,6 +42,10 @@ X with a new bottom 0̂ and top 1̂:
 - Vertex deletion: Δ(X) - v = Δ(X - v), so deleting v changes only the
   intervals (a, b) with a < v < b, which become (a, b) - v (Baclawski 1980).
   In a link lk_{Δ-v}(σ), with σ∪{v} a chain, v lies in exactly one factor.
+
+A scan also gives its complex's reduced Betti numbers (`betti`) and the five
+flags of `classify` (`classes`).  `poset_scan(P)`, the scan of Δ(P − 0̂), is
+the only one the CLI reads for a poset file; facet files take `LinkScan`.
 """
 
 from __future__ import annotations
@@ -373,6 +377,10 @@ class LinkScan:
     def records(self):
         return [(f, *_link_homology(self.delta.link(f), self.fld)) for f in self.delta.faces()]
 
+    def betti(self):
+        """Reduced Betti numbers of the complex, {degree: β̃}, from -1 to its dimension."""
+        return reduced_homology(self.delta, self.fld).betti
+
     def vertex_link(self, v):
         """The scan of lk(v), read off this one: lk_{lk v}(σ) = lk(σ ∪ {v})."""
         scan = LinkScan(self.delta.link((v,)), self.fld)
@@ -450,6 +458,14 @@ class LinkScan:
         ranks = ((f, self.top_rank(f), top) for f, _, top in self.records if f and top)
         hit = next(((f, rank) for f, rank, top in ranks if rank < top), None)
         return hit is None, hit
+
+    def classes(self) -> ComplexClasses:
+        """The five classifiers' flags, with a first-failure witness per property."""
+        names = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
+        results = {name: getattr(self, name)() for name in names}
+        flags = {name: ok for name, (ok, _) in results.items()}
+        witnesses = {name: wit for name, (_, wit) in results.items() if wit is not None}
+        return ComplexClasses(**flags, witnesses=witnesses)
 
 
 def _chains(members, above):
@@ -552,6 +568,10 @@ class OrderComplexScan(LinkScan):
     def records(self):
         return [(f, *_bad_top(self._link_vector(f))) for f in self.delta.faces()]
 
+    def betti(self):
+        """As `LinkScan.betti`: the link of the empty face is Δ(V)."""
+        return dict(enumerate(self._link_vector(()), -1))
+
     def vertex_link(self, v):
         """The scan of lk(v): v joins the fixed chain."""
         i = self.intervals.P.index(v)
@@ -608,16 +628,17 @@ def is_buchsbaum_star(delta: SimplicialComplex, fld: FieldSpec):
 def classify(delta: SimplicialComplex, fld: FieldSpec) -> ComplexClasses:
     """Cohen-Macaulay, Buchsbaum, doubly CM, Gorenstein*, Buchsbaum* flags
     with a first-failure witness per property, all from one link scan."""
-    scan = LinkScan(delta, fld)
-    names = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
-    results = {name: getattr(scan, name)() for name in names}
-    flags = {name: ok for name, (ok, _) in results.items()}
-    witnesses = {name: wit for name, (_, wit) in results.items() if wit is not None}
-    return ComplexClasses(**flags, witnesses=witnesses)
+    return LinkScan(delta, fld).classes()
+
+
+def poset_scan(P: FinitePoset, fld: FieldSpec) -> OrderComplexScan:
+    """The `OrderComplexScan` of Δ(P − 0̂), on a memo of its own; the
+    NoMinimumError of `P.minimum()` when P has no minimum."""
+    bottom = P.minimum()
+    return IntervalBetti(P, fld).scan(x for x in P.elements if x != bottom)
 
 
 def poset_is_cohen_macaulay(P: FinitePoset, fld: FieldSpec):
     """A poset with minimum is CM exactly when the order complex of the
     poset minus its minimum is; the cone over the minimum adds nothing."""
-    bottom = P.minimum()
-    return IntervalBetti(P, fld).scan(x for x in P.elements if x != bottom).cohen_macaulay()
+    return poset_scan(P, fld).cohen_macaulay()

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classifier_oracle as oracle
+from conftest import drawn_poset, rp2
 from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
 from posetlab.errors import FaceNotInComplexError
 from posetlab.generators import (
-    boolean_lattice,
     face_poset_of_complex,
     make_family,
     path_complex,
@@ -111,24 +111,6 @@ def test_vertex_link_scan_matches_fresh_scan(p):
 CLASSIFIERS = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
 
 
-def rp2():
-    """The 6-vertex real projective plane: F_3-acyclic, but H_1 = F_2 over F_2."""
-    facets = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-    ]
-    return SimplicialComplex([[f"v{i}" for i in f] for f in facets], name="rp2")
-
-
-def drawn_poset(seed):
-    """An induced subposet of the Boolean lattice of rank 4 under a new
-    minimum: often ungraded, not Cohen-Macaulay, or not doubly so."""
-    rng = random.Random(seed)
-    B = boolean_lattice(4)
-    members = rng.sample([x for x in B.elements if x != "e"], rng.randint(4, 10))
-    return B.induced(members, name=f"drawn-s{seed}").attach_min()
-
-
 def poset_samples():
     out = [drawn_poset(seed) for seed in range(24)]
     out += [build_from_covers(["0"], [], name="point"), face_poset_of_complex(rp2(), name="rp2")]
@@ -145,7 +127,7 @@ def chain_level(P, members, fld):
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_order_complex_scan_matches_chain_level_scan(p):
     """Δ(P̄) and Δ(P̄ minus its maximal elements), from one memo, and the
-    scan of the link of every element."""
+    scan of the link of every element: records, Betti numbers, classifiers."""
     fld = FieldSpec(p)
     seen = set()
     for P in poset_samples():
@@ -158,6 +140,7 @@ def test_order_complex_scan_matches_chain_level_scan(p):
             for got, want in pairs:
                 assert got.delta == want.delta, P.name
                 assert got.records == want.records, P.name
+                assert got.betti() == want.betti(), P.name
                 for name in CLASSIFIERS:
                     flag, wit = getattr(got, name)()
                     assert (flag, wit) == getattr(want, name)(), (P.name, name)

@@ -3,7 +3,13 @@ import time
 
 import pytest
 
+from conftest import drawn_poset, rp2
 from posetlab.cli import main
+from posetlab.complexes import SimplicialComplex, complex_to_dict, reduced_order_complex
+from posetlab.generators import face_poset_of_complex, make_family
+from posetlab.homology import classify, is_buchsbaum_star, is_cohen_macaulay, reduced_homology
+from posetlab.linalg import FieldSpec
+from posetlab.poset import build_from_covers, jsonable, poset_from_dict, poset_to_dict
 
 
 def run_cli(*argv):
@@ -227,12 +233,15 @@ def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):
     # So is the interval scan of `check cm` on a poset file.
     assert run_cli("check", "cm", str(cb5)) == 0
     assert json.loads(capsys.readouterr().out)["result"] is True
-    # The chain-level link scans on the same file are still refused.
-    for argv in (("compute", "classify"), ("check", "buchsbaum-star")):
-        assert run_cli(*argv, str(cb5)) == 2
-        assert "8160 x 9600 boundary matrix exceeds the size guard" in capsys.readouterr().err
-    assert run_cli("compute", "homology", str(huge)) == 2
-    assert "boundary entries exceeds the size guard" in capsys.readouterr().err
+    # And so is Buchsbaum* from the same scan, which needs no doubly CM step.
+    assert run_cli("check", "buchsbaum-star", str(cb5)) == 0
+    assert json.loads(capsys.readouterr().out)["result"] is True
+    # `classify` stays under the bound on the largest boundary matrix.
+    assert run_cli("compute", "classify", str(cb5)) == 2
+    assert "8160 x 9600 boundary matrix exceeds the size guard" in capsys.readouterr().err
+    for invariant in ("homology", "chi"):
+        assert run_cli("compute", invariant, str(huge)) == 2
+        assert "boundary entries exceeds the size guard" in capsys.readouterr().err
     assert time.perf_counter() - start < 10
 
 
@@ -248,3 +257,106 @@ def test_compute_refuses_tsv_before_loading_the_file(tmp_path, capsys):
     assert run_cli("compute", "homology", str(missing), "--format", "tsv") == 2
     err = capsys.readouterr().err
     assert "tsv output is only available" in err and "no such file" not in err
+
+
+# -- one link scan per input kind -------------------------------------------------
+
+HOMOLOGY_COMMANDS = (("compute", "homology"), ("compute", "classify"), ("check", "cm"), ("check", "buchsbaum-star"))
+
+
+def _dump(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def chain_level_outputs(P, fld):
+    """(exit code, stdout) of each homology command on a poset file, from
+    the chain-level calls on Δ(P − 0̂), serialised as the CLI does."""
+    delta = reduced_order_complex(P)
+    head = {"name": P.name, "field": fld.characteristic}
+    betti = reduced_homology(delta, fld).betti
+    classes = classify(delta, fld)
+    names = ("cohen_macaulay", "buchsbaum", "doubly_cm", "gorenstein_star", "buchsbaum_star")
+    flags = {name: getattr(classes, name) for name in names}
+    out = {
+        ("compute", "homology"): (0, _dump({**head, "betti": {str(k): v for k, v in sorted(betti.items())}})),
+        ("compute", "classify"): (0, _dump({**head, **flags})),
+    }
+    for pred, check in (("cm", is_cohen_macaulay), ("buchsbaum-star", is_buchsbaum_star)):
+        result, witness = check(delta, fld)
+        payload = {"name": P.name, "predicate": pred, "result": result}
+        if witness is not None:
+            payload["witness"] = jsonable(witness)
+        out["check", pred] = (0 if result else 1, _dump(payload))
+    return out
+
+
+def count_links(monkeypatch):
+    """Count `SimplicialComplex.link` calls from now on, in a one-item list."""
+    calls, link = [0], SimplicialComplex.link
+
+    def counting(self, face):
+        calls[0] += 1
+        return link(self, face)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_poset_files_read_the_interval_scan(tmp_path, capsys, monkeypatch, p):
+    """Same bytes and exit codes as the chain-level scan of Δ(P − 0̂), and no link built."""
+    posets = [drawn_poset(seed) for seed in range(12)]
+    posets += [face_poset_of_complex(rp2(), name="rp2"), build_from_covers(["0"], [], name="point")]
+    posets += [make_family("cube-boundary", 3), make_family("boolean", 3)]
+    fld = FieldSpec(p)
+    expected = {}
+    for n, P in enumerate(posets):
+        path = tmp_path / f"poset-{n}.json"
+        path.write_text(json.dumps(poset_to_dict(P)))
+        expected[path] = chain_level_outputs(poset_from_dict(json.loads(path.read_text())), fld)
+    links = count_links(monkeypatch)
+    for path, outputs in expected.items():
+        for argv, (code, text) in outputs.items():
+            assert run_cli(*argv, str(path), "--field", str(p)) == code, (path, argv)
+            assert capsys.readouterr().out == text, (path, argv)
+    assert links == [0]
+
+
+def test_rp2_face_poset_file_is_cohen_macaulay_over_f3_only(tmp_path, capsys):
+    f = tmp_path / "rp2.json"
+    f.write_text(json.dumps(poset_to_dict(face_poset_of_complex(rp2(), name="rp2"))))
+    assert run_cli("check", "cm", str(f), "--field", "2") == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == [[], 1]
+    assert run_cli("compute", "homology", str(f), "--field", "2") == 0
+    betti = json.loads(capsys.readouterr().out)["betti"]
+    assert betti == {"-1": 0, "0": 0, "1": 1, "2": 1}
+    assert run_cli("check", "cm", str(f), "--field", "3") == 0
+
+
+def test_poset_files_without_minimum_exit_2(tmp_path, capsys):
+    f = tmp_path / "two-points.json"
+    f.write_text(json.dumps({"name": "two-points", "elements": ["a", "b"], "covers": []}))
+    for argv in HOMOLOGY_COMMANDS:
+        assert run_cli(*argv, str(f)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no minimum element" in captured.err
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_facet_files_take_the_chain_level_scan(tmp_path, capsys, monkeypatch, p):
+    """RP²: Buchsbaum* over F_2, whose top class reaches every link; over
+    F_3 it is Cohen-Macaulay with no top homology, so not Buchsbaum*."""
+    f = tmp_path / "rp2.json"
+    f.write_text(json.dumps(complex_to_dict(rp2())))
+    fld = FieldSpec(p)
+    classes = classify(rp2(), fld)
+    assert (classes.cohen_macaulay, classes.buchsbaum_star) == (p == 3, p == 2)
+    links = count_links(monkeypatch)
+    assert run_cli("compute", "classify", str(f), "--field", str(p)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cohen_macaulay"] is classes.cohen_macaulay
+    assert payload["buchsbaum_star"] is classes.buchsbaum_star
+    assert payload["buchsbaum"] is True and payload["doubly_cm"] is False
+    assert run_cli("check", "buchsbaum-star", str(f), "--field", str(p)) == (0 if p == 2 else 1)
+    assert json.loads(capsys.readouterr().out)["result"] is (p == 2)
+    assert links[0] > 0
