@@ -73,29 +73,33 @@ class UsageError(Exception):
 # Work bounds for the homology commands on a file, checked before anything
 # is built, with single-run timings on a 2-core machine.  Boundary entries,
 # one per vertex of each face, bound `compute homology`, `compute chi` on
-# facet files (it lists every face) and, on poset files, `check cm` and
-# `check buchsbaum-star`, which reduce open intervals of the same order
-# complex.  On cube-lattice-6, 4,068,545 entries, these took 6.9 s / 372 MB,
-# 54 s / 482 MB and 59 s / 561 MB (time / peak RSS).
+# facet files (it lists every face) and, on poset files, `compute classify`,
+# `check cm` and `check buchsbaum-star`, which reduce open intervals of the
+# same order complex.  On cube-lattice-6, 4,068,545 entries, these took
+# 6.9 s / 372 MB, 64 s / 581 MB, 54 s / 482 MB and 59 s / 561 MB (time /
+# peak RSS).
 MAX_BOUNDARY_ENTRIES = 5_000_000
-# `compute classify` (whose doubly CM step the entries do not bound) and the
-# chain-level scans of facet files, which build one complex per face, stay
-# under a bound on the largest boundary matrix, counted as rows x columns:
-# `compute classify` on cube-boundary-5, refused in the tests, takes 55 s.
+# The chain-level scans of facet files, which build one complex per face,
+# stay under a bound on the largest boundary matrix, counted as rows x
+# columns.
 MAX_BOUNDARY_CELLS = 50_000_000
 
 
 def _face_counts(instance):
-    """Face counts by number of vertices, from 0: chain counts of a poset
-    minus its minimum; for facets, a binomial bound."""
+    """Face counts by number of vertices, from 0, as integers: chain counts
+    of a poset minus its minimum; for facets, a binomial bound.  A poset's
+    count of the chains ending at one element stops at 2**52 // n, so that
+    its float sums stay exact; a count that reaches it is far over both
+    bounds."""
     if isinstance(instance, FinitePoset):
         lt = instance.leq_matrix.astype(float)
         np.fill_diagonal(lt, 0)
-        counts, chains = [1.0], np.ones(len(lt))
+        cap = 2**52 // len(lt)
+        counts, chains = [1], np.ones(len(lt))
         chains[instance.index(instance.minimum())] = 0
         while chains.any():
-            counts.append(chains.sum())
-            chains = lt.T @ chains
+            counts.append(int(chains.sum()))
+            chains = np.minimum(lt.T @ chains, cap)
         return counts
     sizes = [len(f) for f in instance.facets]
     return [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
@@ -109,9 +113,9 @@ def _bounded(instance, cells=False):
     entries = sum(k * c for k, c in enumerate(counts))
     size, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
     if cells and size > MAX_BOUNDARY_CELLS:
-        raise SizeLimitError(f"a {rows:.0f} x {cols:.0f} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
+        raise SizeLimitError(f"a {rows} x {cols} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
     if not cells and entries > MAX_BOUNDARY_ENTRIES:
-        raise SizeLimitError(f"a chain complex of {entries:.0f} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries")
+        raise SizeLimitError(f"a chain complex of {entries} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries")
     return instance
 
 
@@ -215,7 +219,7 @@ def cmd_compute(args) -> int:
             "betti": {str(k): v for k, v in sorted(betti.items())},
         }
     elif inv == "classify":
-        classes = _scan(instance, fld, cells=True).classes()
+        classes = _scan(instance, fld, cells=not is_poset).classes()
         flags = {name: flag for name, flag in vars(classes).items() if name != "witnesses"}
         payload = {"name": instance.name, "field": fld.characteristic, **flags}
     else:

@@ -30,7 +30,7 @@ them most link computations:
   the link's top Betti number as codomain.  For σ = {v} it is the map of
   `vertex_link_map`, which the audit's atom-link check reads off that basis.
 
-An order complex Δ(X) needs no link built at all (`OrderComplexScan`); two
+An order complex Δ(X) needs no link built at all (`OrderComplexScan`); three
 more identities reduce its scan to the homology of open intervals of X̂,
 X with a new bottom 0̂ and top 1̂:
 
@@ -42,6 +42,14 @@ X with a new bottom 0̂ and top 1̂:
 - Vertex deletion: Δ(X) - v = Δ(X - v), so deleting v changes only the
   intervals (a, b) with a < v < b, which become (a, b) - v (Baclawski 1980).
   In a link lk_{Δ-v}(σ), with σ∪{v} a chain, v lies in exactly one factor.
+- Deletion from a Cohen-Macaulay interval: let Δ = Δ(I) be CM of dimension
+  e and v ∈ I.  Excision gives H_k(Δ, Δ - v) ≅ H̃_{k-1}(lk v), so the long
+  exact sequence of (Δ, Δ - v) gives H̃_k(Δ - v) = 0 for k < e - 1,
+  β̃_{e-1}(Δ - v) = β̃_{e-1}(lk v) - r and β̃_e(Δ - v) = β̃_e(Δ) - r, where r
+  is the rank of H̃_e(Δ) → H̃_{e-1}(lk v): by the excision of Buchsbaum*, the
+  rank of a top cycle basis restricted to the top chains through v.  Here
+  lk v = Δ(I ∩ (·, v)) * Δ(I ∩ (v, ·)), and Δ - v = lk v when v is
+  comparable with all of I.  So doubly CM builds no Δ(I - v).
 
 A scan also gives its complex's reduced Betti numbers (`betti`) and the five
 flags of `classify` (`classes`).  `poset_scan(P)`, the scan of Δ(P − 0̂), is
@@ -519,6 +527,51 @@ class IntervalBetti:
             got = self._memo[members] = tuple(ccr.betti(k) for k in range(-1, len(faces) - 1))
         return got
 
+    def _deleted_vector(self, members, v):
+        """The vector of members − v, for an element index v in `members`
+        and Δ(members) Cohen-Macaulay; the first call for `members` fills
+        the entries of members − u for every u in it (`_deletions`)."""
+        key = members & ~(1 << v)
+        if key not in self._memo:
+            for u, vector in self._deletions(members).items():
+                self._memo.setdefault(members & ~(1 << u), vector)
+        return self._memo[key]
+
+    def _deletions(self, members):
+        """{v: the vector of members − v} for every v in `members`, read off
+        the long exact sequence (module docstring) when Δ = Δ(members) is
+        Cohen-Macaulay of dimension e; not valid otherwise.  lk v is the join
+        of the members below and above v.  If v is comparable with all of
+        them, Δ − v = lk v.  Else Δ − v keeps dimension e and its vector is
+        zero below e − 1, with β̃_{e−1}(lk v) − r and β̃_e(Δ) − r on top,
+        where r is the rank of the restriction of a top cycle basis of Δ to
+        the top chains through v."""
+        top = self._vector(members)
+        e = len(top) - 2
+        links = {
+            v: _join_vector(self._vector(members & self.below[v]), self._vector(members & self.above[v]))
+            for v in _bits(members)
+        }
+        through = {}  # v -> the rows of the top cycle basis at top chains through v
+        if top[-1] and any(lk[-1] for lk in links.values()):
+            faces = _chains(members, self.above)
+            ccr = ChainComplexRep(faces, self.fld.characteristic)
+            rows = {}
+            for n, cycle in enumerate(ccr.homology_basis(e)):
+                for j, c in cycle.items():
+                    rows.setdefault(j, {})[n] = c
+            for j, row in rows.items():
+                for v in faces[e][j]:
+                    through.setdefault(v, []).append(row)
+        out = {}
+        for v, lk in links.items():
+            if not members & ~(self.above[v] | self.below[v] | 1 << v):
+                out[v] = tuple(lk)
+            else:
+                r = linalg.rank(through[v], self.fld.characteristic) if lk[-1] and v in through else 0
+                out[v] = (0,) * e + (lk[-1] - r, top[-1] - r)
+        return out
+
     def scan(self, members):
         """The `OrderComplexScan` of Δ(members)."""
         ground = sum(1 << self.P.index(x) for x in members)
@@ -552,17 +605,28 @@ class OrderComplexScan(LinkScan):
         members = [P.elements[i] for i in _bits(self.vertex_set)]
         return order_complex(P.induced(members)) if members else SimplicialComplex.void()
 
+    def _intervals(self, chain):
+        """The member bitsets of the intervals (a, b) over consecutive
+        a < b in 0̂ < chain < 1̂, for a chain of element indices going up."""
+        iv, lower = self.intervals, self.ground
+        for x in chain:
+            yield lower & iv.below[x]
+            lower = self.ground & iv.above[x]
+        yield lower
+
     def _link_vector(self, face, drop=None):
         """Reduced Betti vector of the link of a face, as a join of
-        intervals; the element index `drop` is deleted from them."""
+        intervals; the element index `drop` is deleted from the one that
+        holds it, which must be Cohen-Macaulay (see `doubly_cm`)."""
         iv = self.intervals
         chain = sorted([*map(iv.P.index, face), *self.base], key=iv.position.__getitem__)
-        keep = self.ground if drop is None else self.ground & ~(1 << drop)
-        vector, lower = (1,), keep
-        for x in chain:
-            vector = _join_vector(vector, iv._vector(lower & iv.below[x]))
-            lower = keep & iv.above[x]
-        return _join_vector(vector, iv._vector(lower))
+        vector = (1,)
+        for members in self._intervals(chain):
+            if drop is not None and members >> drop & 1:
+                vector = _join_vector(vector, iv._deleted_vector(members, drop))
+            else:
+                vector = _join_vector(vector, iv._vector(members))
+        return vector
 
     @cached_property
     def records(self):
@@ -581,28 +645,60 @@ class OrderComplexScan(LinkScan):
 
     def doubly_cm(self):
         """As `LinkScan.doubly_cm`; lk_{Δ-v}(σ) is the join of the intervals
-        of σ with v deleted from the one that holds it."""
+        of σ with v deleted from the one that holds it, (a, b) with a and b
+        consecutive around v in 0̂ < σ ∪ B < 1̂.
+
+        Past `cohen_macaulay()`, every interval of a link is itself the link
+        of a face of Δ(V) (join it with maximal chains of the other
+        intervals), so it is Cohen-Macaulay, and the vector of (a, b) − v
+        comes from the long exact sequence (`IntervalBetti._deletions`).
+        That rule holds only there: the scans of one memo share these
+        entries, and each is the true vector of its member set.  The
+        vectors of the other intervals are zero below the top, so the only
+        entry of lk_{Δ-v}(σ) below its top is β̃_{e−1}((a, b) − v) times
+        their tops.  A vertex for which that number is 0 on every such
+        (a, b) passes without its face loop; otherwise the loop runs in
+        face order, so the witness is the chain-level scan's."""
         ok, wit = self.cohen_macaulay()
         if not ok:
             return False, wit
         iv = self.intervals
-        # vertex -> the faces holding it, in face order; taking the vertex out
-        # keeps that order, so these run through lk(v) in its face order.
-        with_vertex = {}
-        for f in self.delta.faces():
-            for v in f:
-                with_vertex.setdefault(v, []).append(f)
+        with_vertex = None
         for v in self.delta.vertices:
             i = iv.P.index(v)
             # v lies in every facet when it is comparable with every vertex.
             if not self.vertex_set & ~(iv.above[i] | iv.below[i] | 1 << i):
                 return False, (v, "dimension drops")
+            if all(_bad_top(iv._deleted_vector(m, i))[0] is None for m in self._around(i)):
+                continue
+            if with_vertex is None:
+                # vertex -> the faces holding it, in face order; taking the
+                # vertex out keeps that order, so these run through lk(v) in
+                # its face order.
+                with_vertex = {}
+                for f in self.delta.faces():
+                    for u in f:
+                        with_vertex.setdefault(u, []).append(f)
             for f in with_vertex[v]:
                 sigma = tuple(x for x in f if x != v)
                 bad, _ = _bad_top(self._link_vector(sigma, drop=i))
                 if bad is not None:
                     return False, (v, (sigma, bad))
         return True, None
+
+    def _around(self, i):
+        """The member bitsets of the intervals (a, b) that hold the vertex i
+        in the links of the faces of lk(i): a and b are consecutive around i
+        in 0̂ < σ ∪ B < 1̂ for some face σ."""
+        iv = self.intervals
+        lower = [x for x in self.base if iv.below[i] >> x & 1]
+        upper = [x for x in self.base if iv.above[i] >> x & 1]
+        # The intervals of B around i, then every element of V inside them.
+        low = self.ground & (iv.above[max(lower, key=iv.position.__getitem__)] if lower else -1)
+        high = self.ground & (iv.below[min(upper, key=iv.position.__getitem__)] if upper else -1)
+        bottoms = [low] + [self.ground & iv.above[a] for a in _bits(low & iv.below[i])]
+        tops = [high] + [self.ground & iv.below[b] for b in _bits(high & iv.above[i])]
+        return [m & n for m in bottoms for n in tops]
 
 
 def is_cohen_macaulay(delta: SimplicialComplex, fld: FieldSpec):

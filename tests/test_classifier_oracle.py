@@ -2,9 +2,10 @@
 `classifier_oracle.py`: same flags and the same first-failure witnesses, at
 p = 2, 3 and 101, on a fixed seeded sample of complexes.  The scan of an
 order complex from interval Betti numbers is checked against the
-chain-level scan the same way, on a fixed sample of posets.  The vertex
-top ranks the audit reads off a scan's top cycle basis are checked against
-`vertex_link_map`.
+chain-level scan the same way, on a fixed sample of posets, and the vertex
+deletions it reads off the long exact sequence against direct reductions.
+The vertex top ranks the audit reads off a scan's top cycle basis are
+checked against `vertex_link_map`.
 """
 
 import random
@@ -25,8 +26,11 @@ from posetlab.generators import (
     suite,
 )
 from posetlab.homology import (
+    ChainComplexRep,
     IntervalBetti,
     LinkScan,
+    OrderComplexScan,
+    _chains,
     classify,
     is_buchsbaum,
     is_buchsbaum_star,
@@ -35,7 +39,7 @@ from posetlab.homology import (
     vertex_link_map,
 )
 from posetlab.linalg import FieldSpec
-from posetlab.poset import build_from_covers
+from posetlab.poset import _bits, build_from_covers
 
 PAIRS = (
     (is_cohen_macaulay, oracle.is_cohen_macaulay),
@@ -150,6 +154,59 @@ def test_order_complex_scan_matches_chain_level_scan(p):
                 if not ok and got.cohen_macaulay()[0] and isinstance(wit[1], tuple):
                     seen.add("doubly CM fails at a face")
     assert seen == {*CLASSIFIERS, "doubly CM fails at a face"}
+
+
+def open_intervals(intervals):
+    """Member bitsets of the nonempty open intervals of P̂, P with a new
+    bottom and top."""
+    everything = (1 << len(intervals.P)) - 1
+    lows = [everything] + intervals.above
+    highs = [everything] + intervals.below
+    return sorted({lo & hi for lo in lows for hi in highs} - {0})
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_deletions_from_cm_intervals_match_direct_reductions(p):
+    """For every Cohen-Macaulay open interval I of P̂ and every v in I, the
+    vector the long exact sequence gives for I - v is that of a reduction
+    of the chains of I - v."""
+    fld = FieldSpec(p)
+    seen = set()
+    for P in poset_samples():
+        intervals = IntervalBetti(P, fld)
+        for members in open_intervals(intervals):
+            if not OrderComplexScan(intervals, members, ()).cohen_macaulay()[0]:
+                continue
+            got = intervals._deletions(members)
+            assert sorted(got) == list(_bits(members)), P.name
+            top = intervals._vector(members)
+            for v, vector in got.items():
+                faces = _chains(members & ~(1 << v), intervals.above)
+                ccr = ChainComplexRep(faces, p)
+                want = tuple(ccr.betti(k) for k in range(-1, len(faces) - 1))
+                assert vector == want, (P.name, members, v)
+                if len(want) < len(top):
+                    seen.add("cone")
+                elif want[-1] < top[-1]:
+                    seen.add("top cycles reach v")
+                if any(want[:-1]):
+                    seen.add("homology below the top")
+    assert seen == {"cone", "top cycles reach v", "homology below the top"}
+
+
+def test_rp2_face_poset_doubly_cm_stops_at_the_cm_witness(monkeypatch):
+    """Over F_2 the RP² face poset is not CM, and `doubly_cm` returns that
+    witness without reading any vertex deletion."""
+    P = face_poset_of_complex(rp2(), name="rp2")
+    scan = IntervalBetti(P, FieldSpec(2)).scan(x for x in P.elements if x != P.minimum())
+
+    def refuse(self, members):
+        raise AssertionError("a deletion was read off a complex that is not CM")
+
+    monkeypatch.setattr(IntervalBetti, "_deletions", refuse)
+    ok, wit = scan.cohen_macaulay()
+    assert not ok
+    assert scan.doubly_cm() == (False, wit)
 
 
 def test_rp2_face_poset_is_cohen_macaulay_over_f3_only():

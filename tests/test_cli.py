@@ -236,13 +236,34 @@ def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):
     # And so is Buchsbaum* from the same scan, which needs no doubly CM step.
     assert run_cli("check", "buchsbaum-star", str(cb5)) == 0
     assert json.loads(capsys.readouterr().out)["result"] is True
-    # `classify` stays under the bound on the largest boundary matrix.
-    assert run_cli("compute", "classify", str(cb5)) == 2
-    assert "8160 x 9600 boundary matrix exceeds the size guard" in capsys.readouterr().err
+    # `classify` reads its vertex deletions off the long exact sequence.
+    assert run_cli("compute", "classify", str(cb5)) == 0
+    flags = json.loads(capsys.readouterr().out)
+    assert [name for name, flag in flags.items() if flag is not True] == ["field", "name"]
     for invariant in ("homology", "chi"):
         assert run_cli("compute", invariant, str(huge)) == 2
         assert "boundary entries exceeds the size guard" in capsys.readouterr().err
     assert time.perf_counter() - start < 10
+
+
+def test_size_guard_counts_stay_exact_past_float_range(tmp_path, capsys):
+    """A 1,100-vertex facet has about 10^334 boundary entries, past the
+    float range, and a chain of 1,100 elements as many chains; both are
+    refused with the exact count of the facet file in the message."""
+    facet = tmp_path / "facet.json"
+    facet.write_text(json.dumps({"facets": [[f"v{i}" for i in range(1100)]]}))
+    entries = str(1100 * 2**1099)
+    for invariant in ("homology", "chi"):
+        assert run_cli("compute", invariant, str(facet)) == 2
+        err = capsys.readouterr().err
+        assert f"a chain complex of {entries} boundary entries exceeds the size guard" in err
+    names = [f"e{i}" for i in range(1100)]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"name": "chain", "elements": names, "covers": list(zip(names, names[1:]))}))
+    for command in (("compute", "homology"), ("compute", "classify"), ("check", "cm")):
+        assert run_cli(*command, str(chain)) == 2
+        err = capsys.readouterr().err
+        assert "boundary entries exceeds the size guard" in err and "Traceback" not in err
 
 
 def test_audit_rejects_a_family_outside_the_suite(capsys):
