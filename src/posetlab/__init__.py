@@ -22,10 +22,8 @@ from .hvectors import (
 )
 from .homology import (
     HomologyReport,
-    InducedMapReport,
     chain_complex,
     classify,
-    induced_inclusion_map,
     is_buchsbaum,
     is_buchsbaum_star,
     is_cohen_macaulay,
@@ -34,7 +32,6 @@ from .homology import (
     poset_is_cohen_macaulay,
     reduced_homology,
     relative_homology,
-    vertex_link_map,
 )
 from .intpoly import IntPolynomial
 from .linalg import DEFAULT_PRIME, FieldSpec, active_backend
@@ -54,7 +51,6 @@ from .poset import (
     mobius_from,
     poset_from_dict,
     poset_to_dict,
-    posets_isomorphic,
     rank_alternating_sum,
     rank_profile,
     reduced_euler_char,

@@ -158,7 +158,7 @@ class _InstanceData:
 
     @cached_property
     def interval_classes(self):
-        return _interval_classes(self.P, self.qbar.top_cycles[0], self.fld)
+        return _interval_classes(self.P, self.qbar)
 
     @cached_property
     def cubical_entries(self):

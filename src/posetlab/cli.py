@@ -86,36 +86,39 @@ MAX_BOUNDARY_CELLS = 50_000_000
 
 
 def _face_counts(instance):
-    """Face counts by number of vertices, from 0, as integers: chain counts
-    of a poset minus its minimum; for facets, a binomial bound.  A poset's
-    count of the chains ending at one element stops at 2**52 // n, so that
-    its float sums stay exact; a count that reaches it is far over both
-    bounds."""
+    """Face counts by number of vertices, from 0, as integers, one at a time:
+    chain counts of a poset minus its minimum; for facets, a binomial bound.
+    A poset's count of the chains ending at one element stops at 2**52 // n,
+    so that its float sums stay exact; a count that reaches it is far over
+    both bounds."""
+    yield 1
     if isinstance(instance, FinitePoset):
         lt = instance.leq_matrix.astype(float)
         np.fill_diagonal(lt, 0)
         cap = 2**52 // len(lt)
-        counts, chains = [1], np.ones(len(lt))
+        chains = np.ones(len(lt))
         chains[instance.index(instance.minimum())] = 0
         while chains.any():
-            counts.append(int(chains.sum()))
+            yield int(chains.sum())
             chains = np.minimum(lt.T @ chains, cap)
-        return counts
+        return
     sizes = [len(f) for f in instance.facets]
-    return [1] + [sum(comb(n, k) for n in sizes) for k in range(1, max(sizes) + 1)]
+    for k in range(1, max(sizes) + 1):
+        yield sum(comb(n, k) for n in sizes)
 
 
 def _bounded(instance, cells=False):
     """The instance, or SizeLimitError over MAX_BOUNDARY_ENTRIES boundary
-    entries, or with `cells` when its largest boundary matrix has over
-    MAX_BOUNDARY_CELLS cells."""
-    counts = _face_counts(instance)
-    entries = sum(k * c for k, c in enumerate(counts))
-    size, rows, cols = max((a * b, a, b) for a, b in zip(counts, counts[1:] + [0]))
-    if cells and size > MAX_BOUNDARY_CELLS:
-        raise SizeLimitError(f"a {rows} x {cols} boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
-    if not cells and entries > MAX_BOUNDARY_ENTRIES:
-        raise SizeLimitError(f"a chain complex of {entries} boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries")
+    entries, or with `cells` when a boundary matrix has over
+    MAX_BOUNDARY_CELLS cells.  Counting stops once the bound is passed."""
+    entries = previous = 0
+    for k, count in enumerate(_face_counts(instance)):
+        entries += k * count
+        if cells and previous * count > MAX_BOUNDARY_CELLS:
+            raise SizeLimitError("a boundary matrix", f"{MAX_BOUNDARY_CELLS} cells")
+        if not cells and entries > MAX_BOUNDARY_ENTRIES:
+            raise SizeLimitError("the count of boundary entries", f"{MAX_BOUNDARY_ENTRIES} entries")
+        previous = count
     return instance
 
 

@@ -13,9 +13,8 @@ columns of degree k that reduce to zero and are not cleared are the essential
 ones; the combinations V_j that reduce them form the homology basis, V_j
 with leading face j.  Class coordinates reduce a cycle by its largest face
 against those V_j and the reduced boundary columns from degree k+1, whose
-leading faces are the cleared ones.  Induced maps push the basis through a
-chain map {source face index: (target face index, sign)}.  No dense matrix
-is built; bases and coordinates depend only on the face order.
+leading faces are the cleared ones.  No dense matrix is built; bases and
+coordinates depend only on the face order.
 
 The classifiers read one `LinkScan` per complex, and two identities spare
 them most link computations:
@@ -27,8 +26,9 @@ them most link computations:
 - Buchsbaum* by excision: H_d(Δ, cost σ) ≅ H̃_{d-|σ|}(lk σ) for pure Δ of
   dimension d, and neither side has d-boundaries.  So the map from H_d(Δ) has
   the rank of the rows of a top cycle basis at the d-faces containing σ, and
-  the link's top Betti number as codomain.  For σ = {v} it is the map of
-  `vertex_link_map`, which the audit's atom-link check reads off that basis.
+  the link's top Betti number as codomain.  For σ = {v} it is the map
+  H̃_d(Δ) → H̃_{d-1}(lk v), which the audit's atom-link check reads off that
+  basis.
 
 An order complex Δ(X) needs no link built at all (`OrderComplexScan`); three
 more identities reduce its scan to the homology of open intervals of X̂,
@@ -65,18 +65,12 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels, linalg
-from .complexes import (
-    SimplicialComplex,
-    is_subcomplex,
-    open_interval_complex,
-    order_complex,
-)
+from .complexes import SimplicialComplex, is_subcomplex, order_complex
 from .errors import (
     FaceNotInComplexError,
     NotASubcomplexError,
     OmegaNotOneDimensionalError,
     PosetLabError,
-    UnknownVertexError,
 )
 from .linalg import FieldSpec
 from .poset import FinitePoset, _bits, rank_profile
@@ -230,91 +224,6 @@ def relative_homology(
 
 
 @dataclass(frozen=True)
-class InducedMapReport:
-    """An induced map on homology in explicit chosen bases."""
-
-    domain_dim: int
-    codomain_dim: int
-    rank: int
-    matrix: np.ndarray  # codomain_dim x domain_dim, entries mod p
-
-    @property
-    def surjective(self):
-        return self.rank == self.codomain_dim
-
-
-def _induced_report(src_ccr, src_deg, dst_ccr, dst_deg, chain_map):
-    """Push the source homology basis through a chain map given as
-    {source face index: (target face index, sign)}."""
-    basis = src_ccr.homology_basis(src_deg)
-    # The length of the target basis, not `betti`: a rank-only reduction
-    # would be redone with tracking by `class_coordinates`.
-    b_dst = len(dst_ccr.homology_basis(dst_deg))
-    matrix = np.zeros((b_dst, len(basis)), dtype=np.int64)
-    if not (basis and b_dst):
-        return InducedMapReport(len(basis), b_dst, 0, matrix)
-    images = []
-    for cycle in basis:
-        image = {}
-        for i, v in cycle.items():
-            if i in chain_map:
-                t, sign = chain_map[i]
-                image[t] = image.get(t, 0) + sign * v
-        images.append(image)
-    coords = dst_ccr.class_coordinates(dst_deg, images)
-    for c, col in enumerate(coords):
-        for r, v in col.items():
-            matrix[r, c] = v
-    return InducedMapReport(len(basis), b_dst, linalg.rank(coords, dst_ccr.p), matrix)
-
-
-def induced_inclusion_map(
-    delta: SimplicialComplex,
-    gamma: SimplicialComplex,
-    dim: int,
-    fld: FieldSpec,
-) -> InducedMapReport:
-    """The canonical map from reduced homology of delta to homology of the
-    pair (delta, gamma), computed from the chain-level projection."""
-    src = chain_complex(delta, fld)
-    dst = relative_chain_complex(delta, gamma, fld)
-    return _induced_report(src, dim, dst, dim, _projection(src, dst, dim))
-
-
-def _projection(src, dst, k):
-    """The chain map sending each k-face of src that dst has to itself."""
-    dst_index = dst.index.get(k, {})
-    faces = enumerate(src.faces.get(k, ()))
-    return {j: (dst_index[f], 1) for j, f in faces if f in dst_index}
-
-
-def vertex_link_map(
-    gamma: SimplicialComplex, v, fld: FieldSpec
-) -> InducedMapReport:
-    """Top homology of gamma mapped onto the link of v one degree down.
-
-    Chain level: a face containing v maps to the face minus v, signed by the
-    position of v; faces without v map to zero.
-    """
-    if v not in gamma.vertices:
-        raise UnknownVertexError(v)
-    k = gamma.dim
-    link = gamma.link((v,))
-    src = chain_complex(gamma, fld)
-    dst = chain_complex(link, fld)
-    dst_index = dst.index.get(k - 1, {})
-    chain_map = {}
-    for j, face in enumerate(src.faces.get(k, ())):
-        if v not in face:
-            continue
-        pos = face.index(v)
-        i = dst_index.get(face[:pos] + face[pos + 1 :])
-        if i is not None:
-            chain_map[j] = (i, -1 if pos % 2 else 1)
-    return _induced_report(src, k, dst, k - 1, chain_map)
-
-
-@dataclass(frozen=True)
 class MaximalIntervalClasses:
     """For each maximal element, the class its open lower interval carries
     into the top homology of the doubly truncated order complex."""
@@ -326,25 +235,34 @@ class MaximalIntervalClasses:
 def maximal_interval_classes(P: FinitePoset, fld: FieldSpec) -> MaximalIntervalClasses:
     if rank_profile(P).top_rank < 2:
         raise PosetLabError("interval classes need rank at least 2")
-    ambient = order_complex(P.remove_maximal().remove_min())
-    return _interval_classes(P, chain_complex(ambient, fld), fld)
+    return _interval_classes(P, IntervalBetti(P, fld).scan(P.remove_maximal().remove_min().elements))
 
 
-def _interval_classes(P, amb_ccr, fld):
-    """`maximal_interval_classes`, given the chain complex of Δ(Q̄)."""
+def _interval_classes(P, qbar):
+    """`maximal_interval_classes`, given the scan of Δ(Q̄).
+
+    P has rank d, so Δ(Q̄) has no face above degree d − 2 and the map
+    H̃_{d−2}(0̂, y) → H̃_{d−2}(Q̄) of a maximal y is the inclusion of cycle
+    spaces: its rank is β̃_{d−2}(0̂, y), the size of the interval's own
+    homology basis.  When that is 1, the one cycle has the ambient's index
+    chains as faces, and its coordinates, scaled so the first nonzero one is
+    1, are the class.
+    """
     deg = rank_profile(P).top_rank - 2
-    bottom = P.minimum()
-    ambient_dim = len(amb_ccr.homology_basis(deg))  # as in `_induced_report`
-    p = fld.characteristic
+    iv, p = qbar.intervals, qbar.fld.characteristic
+    ambient, _ = qbar.top_complex
+    ambient_dim = len(ambient.homology_basis(deg))
     classes = {}
     for y in sorted(P.maximal_elements()):
-        src = chain_complex(open_interval_complex(P, bottom, y), fld)
-        report = _induced_report(src, deg, amb_ccr, deg, _projection(src, amb_ccr, deg))
-        if report.rank != 1:
-            raise OmegaNotOneDimensionalError(y, report.rank)
-        # The image is spanned by its first nonzero column, scaled so that
-        # its first nonzero entry is 1.
-        column = report.matrix[:, np.flatnonzero(report.matrix.any(axis=0))[0]]
+        interval = iv._complex(qbar.vertex_set & iv.below[P.index(y)])
+        basis = interval.homology_basis(deg)
+        if len(basis) != 1:
+            raise OmegaNotOneDimensionalError(y, len(basis))
+        (cycle,) = basis
+        index, faces = ambient.index[deg], interval.faces[deg]
+        (coords,) = ambient.class_coordinates(deg, [{index[faces[j]]: c for j, c in cycle.items()}])
+        column = np.zeros(ambient_dim, dtype=np.int64)
+        column[list(coords)] = list(coords.values())
         lead = int(column[np.flatnonzero(column)[0]])
         classes[y] = column * pow(lead, p - 2, p) % p
     return MaximalIntervalClasses(ambient_dim, classes)
@@ -434,27 +352,27 @@ class LinkScan:
         return True, None
 
     @cached_property
+    def top_complex(self):
+        """The chain complex of Δ and its dimension d."""
+        return chain_complex(self.delta, self.fld), self.delta.dim
+
+    @cached_property
     def top_cycles(self):
-        """The chain complex of Δ, its top cycle basis by d-face index as
-        {basis position: coefficient} and the d-faces holding each nonempty face."""
-        ccr = chain_complex(self.delta, self.fld)
-        d = self.delta.dim
-        by_face = {}
-        for n, cycle in enumerate(ccr.homology_basis(d)):
-            for i, v in cycle.items():
-                by_face.setdefault(i, {})[n] = v
-        rows = {}
+        """The rows of a top cycle basis per d-face index (`_top_rows`) and
+        the d-faces holding each nonempty face."""
+        ccr, d = self.top_complex
+        holders = {}
         for j, facet in enumerate(ccr.faces.get(d, ())):
             for k in range(1, len(facet) + 1):
                 for sub in combinations(facet, k):
-                    rows.setdefault(sub, []).append(j)
-        return ccr, by_face, rows
+                    holders.setdefault(sub, []).append(j)
+        return _top_rows(ccr, d), holders
 
     def top_rank(self, face):
         """Rank of H̃_d(Δ) → H̃_{d-|σ|}(lk σ) for a nonempty face σ of a pure Δ
         of dimension d, by excision (see the module docstring)."""
-        _, by_face, rows = self.top_cycles
-        restricted = (by_face.get(i, {}) for i in rows.get(face, ()))
+        rows, holders = self.top_cycles
+        restricted = (rows.get(j, {}) for j in holders.get(face, ()))
         return linalg.rank(restricted, self.fld.characteristic)
 
     def buchsbaum_star(self):
@@ -474,6 +392,16 @@ class LinkScan:
         flags = {name: ok for name, (ok, _) in results.items()}
         witnesses = {name: wit for name, (_, wit) in results.items() if wit is not None}
         return ComplexClasses(**flags, witnesses=witnesses)
+
+
+def _top_rows(ccr, d):
+    """A top cycle basis of a chain complex of dimension d as rows
+    {d-face index: {basis position: coefficient}}, for the faces it meets."""
+    rows = {}
+    for n, cycle in enumerate(ccr.homology_basis(d)):
+        for j, c in cycle.items():
+            rows.setdefault(j, {})[n] = c
+    return rows
 
 
 def _chains(members, above):
@@ -518,13 +446,19 @@ class IntervalBetti:
         for k, i in enumerate(P._topo):
             self.position[i] = k
         self._memo = {0: (1,)}  # the empty set spans the void complex
+        self._kept = {}  # members -> the chain complex a scan keeps for its top cycles
+
+    def _complex(self, members):
+        """The chain complex of Δ(members), the one a scan keeps if any, so
+        that its reductions are shared."""
+        got = self._kept.get(members)
+        return got if got is not None else ChainComplexRep(_chains(members, self.above), self.fld.characteristic)
 
     def _vector(self, members):
         got = self._memo.get(members)
         if got is None:
-            faces = _chains(members, self.above)
-            ccr = ChainComplexRep(faces, self.fld.characteristic)
-            got = self._memo[members] = tuple(ccr.betti(k) for k in range(-1, len(faces) - 1))
+            ccr = self._complex(members)
+            got = self._memo[members] = tuple(ccr.betti(k) for k in range(-1, len(ccr.faces) - 1))
         return got
 
     def _deleted_vector(self, members, v):
@@ -554,14 +488,9 @@ class IntervalBetti:
         }
         through = {}  # v -> the rows of the top cycle basis at top chains through v
         if top[-1] and any(lk[-1] for lk in links.values()):
-            faces = _chains(members, self.above)
-            ccr = ChainComplexRep(faces, self.fld.characteristic)
-            rows = {}
-            for n, cycle in enumerate(ccr.homology_basis(e)):
-                for j, c in cycle.items():
-                    rows.setdefault(j, {})[n] = c
-            for j, row in rows.items():
-                for v in faces[e][j]:
+            ccr = self._complex(members)
+            for j, row in _top_rows(ccr, e).items():
+                for v in ccr.faces[e][j]:
                     through.setdefault(v, []).append(row)
         out = {}
         for v, lk in links.items():
@@ -635,6 +564,19 @@ class OrderComplexScan(LinkScan):
     def betti(self):
         """As `LinkScan.betti`: the link of the empty face is Δ(V)."""
         return dict(enumerate(self._link_vector(()), -1))
+
+    @cached_property
+    def top_complex(self):
+        """As `LinkScan.top_complex`, on the chains of V as index tuples; the
+        memo keeps it for the vector and the vertex deletions of V."""
+        iv = self.intervals
+        ccr = iv._kept[self.vertex_set] = iv._complex(self.vertex_set)
+        return ccr, len(ccr.faces) - 2
+
+    def top_rank(self, face):
+        """As `LinkScan.top_rank`; the face becomes its chain of indices."""
+        iv = self.intervals
+        return super().top_rank(tuple(sorted(map(iv.P.index, face), key=iv.position.__getitem__)))
 
     def vertex_link(self, v):
         """The scan of lk(v): v joins the fixed chain."""

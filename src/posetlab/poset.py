@@ -219,9 +219,6 @@ class FinitePoset:
         m = self.minimum()
         return tuple(b for a, b in self._covers if a == m)
 
-    def cover_children(self, x):
-        return tuple(a for a, b in self._covers if b == x)
-
     def cover_parents(self, x):
         return tuple(b for a, b in self._covers if a == x)
 
@@ -394,12 +391,6 @@ class RankProfile:
     poset: FinitePoset
     rho: np.ndarray  # rho[i, j] = common maximal chain length of [i, j]; -1 elsewhere
 
-    def interval_rank(self, x, y):
-        i, j = self.poset.index(x), self.poset.index(y)
-        if not self.poset.leq_matrix[i, j]:
-            raise NotComparableError(x, y)
-        return int(self.rho[i, j])
-
     @property
     def ranks(self):
         m = self.poset.index(self.poset.minimum())
@@ -461,19 +452,20 @@ def rank_profile(P: FinitePoset) -> RankProfile:
 
 
 def is_graded(P: FinitePoset):
-    """All maximal chains of P have one common length; returns (flag, length)."""
-    n = len(P)
-    children = [[] for _ in range(n)]
-    for a, b in P.covers:
-        children[P.index(b)].append(P.index(a))
-    longest = np.zeros(n, dtype=np.int64)
-    shortest = np.zeros(n, dtype=np.int64)
-    for j in P._topo:
-        if children[j]:
-            longest[j] = 1 + max(longest[z] for z in children[j])
-            shortest[j] = 1 + min(shortest[z] for z in children[j])
-    tops = [P.index(e) for e in P.maximal_elements()]
-    lengths = {int(longest[t]) for t in tops} | {int(shortest[t]) for t in tops}
+    """All maximal chains of P have one common length; returns (flag, length).
+
+    Such a P is locally graded: two maximal chains of different lengths in
+    [a, b] extend, by one chain below a and one above b, to maximal chains
+    of P of different lengths.  Otherwise the lengths are the ranks of
+    [a, b] over the comparable pairs of a minimal a and a maximal b.
+    """
+    try:
+        rho = rank_profile(P).rho
+    except NotLocallyGradedError:
+        return False, None
+    lows = [P.index(x) for x in P.minimal_elements()]
+    highs = [P.index(y) for y in P.maximal_elements()]
+    lengths = set(rho[np.ix_(lows, highs)][P.leq_matrix[np.ix_(lows, highs)]].tolist())
     if len(lengths) == 1:
         return True, lengths.pop()
     return False, None
@@ -756,89 +748,6 @@ def structural_predicates(P: FinitePoset) -> StructuralPredicates:
     return StructuralPredicates(
         meet, is_simplicial_poset(P), is_cubical_poset(P), graded
     )
-
-
-# -- poset isomorphism -------------------------------------------------------
-
-
-def _wl_colors(P):
-    """Stable cover-degree refinement colors, comparable across posets."""
-    n = len(P)
-    children = [[] for _ in range(n)]
-    parents = [[] for _ in range(n)]
-    for a, b in P.covers:
-        ia, ib = P.index(a), P.index(b)
-        children[ib].append(ia)
-        parents[ia].append(ib)
-    colors = [(len(children[i]), len(parents[i])) for i in range(n)]
-    for _ in range(n):
-        new = [
-            (
-                colors[i],
-                tuple(sorted(colors[c] for c in children[i])),
-                tuple(sorted(colors[p] for p in parents[i])),
-            )
-            for i in range(n)
-        ]
-        canon = {sig: rank for rank, sig in enumerate(sorted(set(new)))}
-        refreshed = [canon[sig] for sig in new]
-        if len(set(refreshed)) == len(set(colors)):
-            colors = refreshed
-            break
-        colors = refreshed
-    return colors
-
-
-def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
-    """Exhaustive backtracking with color refinement pruning."""
-    n = len(P)
-    if n != len(Q) or len(P.covers) != len(Q.covers):
-        return False
-    cp = _wl_colors(P)
-    cq = _wl_colors(Q)
-    if sorted(cp) != sorted(cq):
-        return False
-
-    children_p = [[] for _ in range(n)]
-    for a, b in P.covers:
-        children_p[P.index(b)].append(P.index(a))
-    by_color_q = {}
-    for j in range(n):
-        by_color_q.setdefault(cq[j], []).append(j)
-
-    # Map in topological order so every cover child is placed first.
-    order = list(P._topo)
-
-    leq_p = P.leq_matrix
-    leq_q = Q.leq_matrix
-    child_q = np.zeros((n, n), dtype=bool)
-    for a, b in Q.covers:
-        child_q[Q.index(a), Q.index(b)] = True
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def backtrack(k):
-        if k == n:
-            return True
-        v = order[k]
-        for w in by_color_q.get(cp[v], []):
-            if used[w]:
-                continue
-            if any(not child_q[mapping[c], w] for c in children_p[v]):
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(k + 1):
-                return True
-            used[w] = False
-            mapping[v] = -1
-        return False
-
-    if not backtrack(0):
-        return False
-    perm = np.array(mapping)
-    return bool((leq_p == leq_q[np.ix_(perm, perm)]).all())
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,13 +1,20 @@
 """Dense F_p linear algebra and homology, as the package computed them before
 the sparse reduction took over: numpy row reduction on full boundary
-matrices.  Kept as the reference the sparse bases, class coordinates and
-induced maps are checked against; small inputs only.
+matrices.  Kept as the reference the sparse bases, class coordinates, the
+ranks of maps on top homology and the interval classes are checked against;
+small inputs only.  The induced maps on homology in explicit bases, and the
+interval classes through them, are the ones the package computed before it
+read the classes off interval Betti numbers.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from posetlab.errors import PosetLabError
-from posetlab.homology import InducedMapReport, chain_complex, relative_chain_complex
+from posetlab.complexes import open_interval_complex, order_complex
+from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError
+from posetlab.homology import MaximalIntervalClasses, chain_complex, relative_chain_complex
+from posetlab.poset import rank_profile
 
 
 # -- row reduction -------------------------------------------------------------
@@ -151,6 +158,20 @@ def class_coordinates(ccr, k, chain_vectors):
     return sols[bound.shape[1] :, :]
 
 
+@dataclass(frozen=True)
+class InducedMapReport:
+    """An induced map on homology in explicit chosen bases."""
+
+    domain_dim: int
+    codomain_dim: int
+    rank: int
+    matrix: np.ndarray  # codomain_dim x domain_dim, entries mod p
+
+    @property
+    def surjective(self):
+        return self.rank == self.codomain_dim
+
+
 def _induced_report(src_ccr, src_deg, dst_ccr, dst_deg, chain_map, p):
     """Push the source homology basis through a chain-level map."""
     basis = homology_basis(src_ccr, src_deg)
@@ -199,3 +220,24 @@ def vertex_link_map(gamma, v, fld):
         if i is not None:
             mat[i, j] = 1 if pos % 2 == 0 else p - 1
     return _induced_report(src, k, dst, k - 1, mat, p)
+
+
+def maximal_interval_classes(P, fld):
+    """For each maximal y, the image of H̃_{d-2}(0̂, y) in H̃_{d-2}(Δ(Q̄)) under
+    the map induced by inclusion, which must have rank 1; the class is its
+    first nonzero column, scaled so that its first nonzero entry is 1."""
+    if rank_profile(P).top_rank < 2:
+        raise PosetLabError("interval classes need rank at least 2")
+    deg = rank_profile(P).top_rank - 2
+    p = fld.characteristic
+    ambient = chain_complex(order_complex(P.remove_maximal().remove_min()), fld)
+    classes = {}
+    for y in sorted(P.maximal_elements()):
+        src = chain_complex(open_interval_complex(P, P.minimum(), y), fld)
+        report = _induced_report(src, deg, ambient, deg, _projection_matrix(src, ambient, deg), p)
+        if report.rank != 1:
+            raise OmegaNotOneDimensionalError(y, report.rank)
+        column = report.matrix[:, np.flatnonzero(report.matrix.any(axis=0))[0]]
+        lead = int(column[np.flatnonzero(column)[0]])
+        classes[y] = column * pow(lead, p - 2, p) % p
+    return MaximalIntervalClasses(betti(ambient, deg), classes)

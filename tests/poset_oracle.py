@@ -2,8 +2,9 @@
 the redundant-cover test one boolean row per cover, the boolean matrix
 product for covers, ranks and Möbius values one cover or one row at a
 time, the meet test on every pair, Boolean intervals by atom supports, cube
-intervals by isomorphism with a template cube lattice, and the toric
-recursion one pair at a time.  Kept as the reference the fast paths are
+intervals by isomorphism with a template cube lattice (the isomorphism
+test is here too), the toric recursion one pair at a time, and gradedness
+by its own chain-length program.  Kept as the reference the fast paths are
 checked against; small inputs, except in the `large` tier.
 """
 
@@ -15,13 +16,7 @@ from posetlab.errors import NotLocallyGradedError
 from posetlab.generators import cube_face_lattice
 from posetlab.hvectors import _graded_rank
 from posetlab.intpoly import Q_MINUS_ONE, IntPolynomial
-from posetlab.poset import (
-    FinitePoset,
-    _closure,
-    _toposort,
-    is_graded,
-    posets_isomorphic,
-)
+from posetlab.poset import FinitePoset, _closure, _toposort
 
 _NO_CHAIN = -1
 
@@ -225,3 +220,106 @@ def toric_applies(P):
     """The hypotheses `toric_h` checks: lower Eulerian and graded."""
     return lower_eulerian(P)[0] and is_graded(P)[0]
 
+
+def is_graded(P):
+    """All maximal chains of P have one common length; returns (flag, length).
+    The longest and shortest chain from a minimal element, one dynamic
+    program over the covers."""
+    n = len(P)
+    children = [[] for _ in range(n)]
+    for a, b in P.covers:
+        children[P.index(b)].append(P.index(a))
+    longest = np.zeros(n, dtype=np.int64)
+    shortest = np.zeros(n, dtype=np.int64)
+    for j in P._topo:
+        if children[j]:
+            longest[j] = 1 + max(longest[z] for z in children[j])
+            shortest[j] = 1 + min(shortest[z] for z in children[j])
+    tops = [P.index(e) for e in P.maximal_elements()]
+    lengths = {int(longest[t]) for t in tops} | {int(shortest[t]) for t in tops}
+    if len(lengths) == 1:
+        return True, lengths.pop()
+    return False, None
+
+
+# -- poset isomorphism -------------------------------------------------------
+
+
+def _wl_colors(P):
+    """Stable cover-degree refinement colors, comparable across posets."""
+    n = len(P)
+    children = [[] for _ in range(n)]
+    parents = [[] for _ in range(n)]
+    for a, b in P.covers:
+        ia, ib = P.index(a), P.index(b)
+        children[ib].append(ia)
+        parents[ia].append(ib)
+    colors = [(len(children[i]), len(parents[i])) for i in range(n)]
+    for _ in range(n):
+        new = [
+            (
+                colors[i],
+                tuple(sorted(colors[c] for c in children[i])),
+                tuple(sorted(colors[p] for p in parents[i])),
+            )
+            for i in range(n)
+        ]
+        canon = {sig: rank for rank, sig in enumerate(sorted(set(new)))}
+        refreshed = [canon[sig] for sig in new]
+        if len(set(refreshed)) == len(set(colors)):
+            colors = refreshed
+            break
+        colors = refreshed
+    return colors
+
+
+def posets_isomorphic(P: FinitePoset, Q: FinitePoset) -> bool:
+    """Exhaustive backtracking with color refinement pruning."""
+    n = len(P)
+    if n != len(Q) or len(P.covers) != len(Q.covers):
+        return False
+    cp = _wl_colors(P)
+    cq = _wl_colors(Q)
+    if sorted(cp) != sorted(cq):
+        return False
+
+    children_p = [[] for _ in range(n)]
+    for a, b in P.covers:
+        children_p[P.index(b)].append(P.index(a))
+    by_color_q = {}
+    for j in range(n):
+        by_color_q.setdefault(cq[j], []).append(j)
+
+    # Map in topological order so every cover child is placed first.
+    order = list(P._topo)
+
+    leq_p = P.leq_matrix
+    leq_q = Q.leq_matrix
+    child_q = np.zeros((n, n), dtype=bool)
+    for a, b in Q.covers:
+        child_q[Q.index(a), Q.index(b)] = True
+
+    mapping = [-1] * n
+    used = [False] * n
+
+    def backtrack(k):
+        if k == n:
+            return True
+        v = order[k]
+        for w in by_color_q.get(cp[v], []):
+            if used[w]:
+                continue
+            if any(not child_q[mapping[c], w] for c in children_p[v]):
+                continue
+            mapping[v] = w
+            used[w] = True
+            if backtrack(k + 1):
+                return True
+            used[w] = False
+            mapping[v] = -1
+        return False
+
+    if not backtrack(0):
+        return False
+    perm = np.array(mapping)
+    return bool((leq_p == leq_q[np.ix_(perm, perm)]).all())

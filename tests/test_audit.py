@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from posetlab import audit, homology
+from posetlab import homology
 from posetlab.audit import (
     FAIL,
     INAPPLICABLE,
@@ -75,27 +75,31 @@ def test_cube_boundary_audit():
 
 
 def test_audit_builds_the_chain_complex_of_qbar_once(monkeypatch):
-    """Atom-link surjectivity, Buchsbaum* and the interval classes read one
-    top cycle basis of Δ(Q̄); `vertex_link_map` is off the audit path."""
+    """Atom-link surjectivity, Buchsbaum*, the interval classes, the Betti
+    vector of Δ(Q̄) and its vertex deletions read one chain complex of
+    Δ(Q̄), built on its chains as index tuples."""
     P = make_family("cube-boundary", 4)
-    delta_qbar = order_complex(P.remove_maximal().remove_min())
-    built = []
-    build = homology.chain_complex
+    Q = P.remove_maximal().remove_min()
+    qbar = sum(1 << P.index(x) for x in Q.elements)
+    delta_qbar = order_complex(Q)
+    built, listed = [], []
+    build, chains = homology.chain_complex, homology._chains
 
     def counting(delta, fld):
         built.append(delta)
         return build(delta, fld)
 
-    def refused(*args):
-        raise AssertionError("vertex_link_map is called")
+    def listing(members, above):
+        listed.append(members)
+        return chains(members, above)
 
     monkeypatch.setattr(homology, "chain_complex", counting)
-    monkeypatch.setattr(homology, "vertex_link_map", refused)
-    monkeypatch.setattr(audit, "vertex_link_map", refused, raising=False)
+    monkeypatch.setattr(homology, "_chains", listing)
     checks = by_id(audit_poset(P))
-    for cid in ("truncation-buchsbaum-star", "atom-link-surjectivity", "basis-size"):
+    for cid in ("truncation-buchsbaum-star", "atom-link-surjectivity", "basis-size", "truncation-doubly-cm"):
         assert checks[cid].verdict == PASS, cid
-    assert sum(delta == delta_qbar for delta in built) == 1
+    assert not any(delta == delta_qbar for delta in built)
+    assert listed.count(qbar) == 1
 
 
 def test_rank_one_poset_passes_trivially():

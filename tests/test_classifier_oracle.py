@@ -5,7 +5,7 @@ order complex from interval Betti numbers is checked against the
 chain-level scan the same way, on a fixed sample of posets, and the vertex
 deletions it reads off the long exact sequence against direct reductions.
 The vertex top ranks the audit reads off a scan's top cycle basis are
-checked against `vertex_link_map`.
+checked against the dense vertex link map of `dense_oracle.py`.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classifier_oracle as oracle
+import dense_oracle
 from conftest import drawn_poset, rp2
 from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
 from posetlab.errors import FaceNotInComplexError
@@ -36,7 +37,6 @@ from posetlab.homology import (
     is_buchsbaum_star,
     is_cohen_macaulay,
     is_doubly_cm,
-    vertex_link_map,
 )
 from posetlab.linalg import FieldSpec
 from posetlab.poset import _bits, build_from_covers
@@ -224,15 +224,15 @@ def test_vertex_link_of_a_non_vertex_is_refused():
         scan.vertex_link(scan.delta.vertices[0]).vertex_link(scan.delta.vertices[1])
 
 
-# -- top ranks against the vertex link map ---------------------------------------
+# -- top ranks against the dense vertex link map ---------------------------------
 
 
 def top_rank_pairs(scan, fld):
     """Per vertex v of a pure complex: (top_rank((v,)), top Betti number of
-    v's record) and `vertex_link_map`'s (rank, codomain_dim)."""
+    v's record) and the dense oracle's (rank, codomain_dim)."""
     tops = {f: top for f, _, top in scan.records if len(f) == 1}
     for v in scan.delta.vertices:
-        report = vertex_link_map(scan.delta, v, fld)
+        report = dense_oracle.vertex_link_map(scan.delta, v, fld)
         yield v, (scan.top_rank((v,)), tops[(v,)]), (report.rank, report.codomain_dim)
 
 

@@ -26,9 +26,9 @@ from posetlab.generators import (
     simplex_boundary_complex,
 )
 from posetlab.homology import (
+    LinkScan,
     chain_complex,
     classify,
-    induced_inclusion_map,
     is_buchsbaum,
     is_buchsbaum_star,
     is_cohen_macaulay,
@@ -38,7 +38,6 @@ from posetlab.homology import (
     reduced_homology,
     relative_chain_complex,
     relative_homology,
-    vertex_link_map,
 )
 from dense_oracle import rank as matrix_rank
 from posetlab.linalg import FieldSpec
@@ -127,45 +126,28 @@ def test_pair_excision_onto_link():
                 assert pair_b.betti.get(i, 0) == link_b.betti.get(i - 1, 0)
 
 
-# -- induced maps -----------------------------------------------------------------
-
-
-def test_inclusion_into_full_pair_is_zero_map():
-    c = circle()
-    report = induced_inclusion_map(c, c, 1, FLD)
-    assert report.domain_dim == 1
-    assert report.codomain_dim == 0
-    assert report.rank == 0
-    assert report.surjective  # vacuously: the target space is zero
-
-
-def test_cycle_relative_contrastar_surjectivity():
-    c4 = SimplicialComplex([("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3")])
-    for v in c4.vertices:
-        report = induced_inclusion_map(c4, c4.contrastar((v,)), 1, FLD)
-        assert report.codomain_dim == 1
-        assert report.surjective
+# -- maps of top homology onto vertex links ------------------------------------------
 
 
 def test_vertex_link_map_on_circle():
-    report = vertex_link_map(circle(), "a", FLD)
-    assert report.domain_dim == 1
-    assert report.codomain_dim == 1
-    assert report.surjective
+    """H̃_1 of a circle onto H̃_0 of the link of a vertex, two points."""
+    scan = LinkScan(circle(), FLD)
+    tops = {f: top for f, _, top in scan.records}
+    assert (scan.top_rank(("a",)), tops[("a",)]) == (1, 1)
 
 
 def test_vertex_link_map_of_isolated_vertex_is_zero():
     c = SimplicialComplex([("a", "b"), ("z",)])
-    report = vertex_link_map(c, "z", FLD)
-    assert report.rank == 0
+    assert LinkScan(c, FLD).top_rank(("z",)) == 0
 
 
 def test_vertex_link_maps_surjective_on_truncated_cube_boundary():
     P = cubical_complex_poset("cube-boundary", 3)
     q_bar = P.remove_maximal().remove_min()
-    gamma = order_complex(q_bar)
+    scan = LinkScan(order_complex(q_bar), FLD)
+    tops = {f: top for f, _, top in scan.records}
     for x in q_bar.minimal_elements():
-        assert vertex_link_map(gamma, x, FLD).surjective
+        assert scan.top_rank((x,)) == tops[(x,)] == 2, x  # three edges meet at x
 
 
 # -- interval classes ----------------------------------------------------------------
@@ -195,8 +177,8 @@ def test_interval_classes_span_for_tetrahedron_boundary():
 
 
 def test_induced_maps_reduce_each_boundary_once(monkeypatch):
-    """The target's basis and coordinates share one tracked reduction per
-    degree; no rank-only reduction is redone with tracking."""
+    """The ambient basis and the class coordinates share one tracked
+    reduction per degree; no rank-only reduction is redone with tracking."""
     built = []
     boundary = homology.ChainComplexRep.boundary
 
@@ -207,9 +189,6 @@ def test_induced_maps_reduce_each_boundary_once(monkeypatch):
     monkeypatch.setattr(homology.ChainComplexRep, "boundary", recording)
     classes = maximal_interval_classes(make_family("cube-boundary", 4), FLD)
     assert classes.ambient_dim == 7  # eight facets, one relation
-    assert vertex_link_map(circle(), "a", FLD).surjective
-    c4 = SimplicialComplex([("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3")])
-    assert induced_inclusion_map(c4, c4.contrastar(("v0",)), 1, FLD).surjective
     assert built and len(built) == len({(id(c), k) for c, k in built})
 
 

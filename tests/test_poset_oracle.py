@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import poset_oracle as oracle
 from posetlab import poset as poset_module
-from posetlab.errors import NotLowerGradedError, PosetLabError, RedundantCoverError
+from posetlab.errors import NotLocallyGradedError, NotLowerGradedError, PosetLabError, RedundantCoverError
 from posetlab.generators import boolean_lattice, cube_face_lattice, make_family
 from posetlab.hvectors import cubical_h, short_cubical_h, toric_face_polynomials, toric_h
 from posetlab.poset import (
     FinitePoset,
     is_cubical_poset,
+    is_graded,
     is_lower_eulerian,
     is_meet_semilattice,
     is_simplicial_poset,
@@ -177,6 +178,8 @@ def check_against_oracle(P, members):
         }
     verdict = is_lower_eulerian(P)
     assert (verdict.ok, verdict.witness) == oracle.lower_eulerian(P)
+    for Q in (P, P.induced(members), P.dual()):
+        assert is_graded(Q) == oracle.is_graded(Q)
 
     assert is_meet_semilattice(P) == oracle.is_meet_semilattice(P)
     assert outcome(is_simplicial_poset, P) == outcome(oracle.is_simplicial, P)
@@ -217,6 +220,28 @@ def test_redundant_cover_check_matches_oracle():
                 FinitePoset.from_covers(elements, covers)
             assert (err.value.lower, err.value.upper, err.value.witness) == want
     assert seen == {True, False}
+
+
+def test_is_graded_matches_oracle():
+    """Drawn posets and their induced subposets, with and without a
+    minimum, locally graded or not, graded or not."""
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        P = make_family("random-poset", rng.randint(4, 8), rng.randint(1, 3), seed)
+        for members in (P.elements, rng.sample(P.elements, rng.randint(1, len(P)))):
+            Q = P.induced(members)
+            got = is_graded(Q)
+            assert got == oracle.is_graded(Q), (seed, members)
+            try:
+                rank_profile(Q)
+            except NotLocallyGradedError:
+                seen.add("not locally graded")
+            else:
+                seen.add("graded" if got[0] else "locally graded, not graded")
+            if not Q.has_minimum:
+                seen.add("no minimum")
+    assert seen == {"not locally graded", "graded", "locally graded, not graded", "no minimum"}
 
 
 @pytest.mark.parametrize("name, build", NEAR_MISSES, ids=[n for n, _ in NEAR_MISSES])

@@ -1,23 +1,27 @@
-"""Homology bases, class coordinates and induced maps from the sparse
-reduction, checked against the dense oracle in `dense_oracle.py` on drawn
-complexes at p = 2, 3 and 101.
+"""Homology bases and class coordinates from the sparse reduction, checked
+against the dense oracle in `dense_oracle.py` on drawn complexes at p = 2, 3
+and 101; and the interval classes read off interval Betti numbers against
+the dense induced maps of the oracle.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle as dense
+from conftest import drawn_poset
+from posetlab.audit import select_basis
 from posetlab.complexes import SimplicialComplex, reduced_order_complex
 from posetlab.errors import PosetLabError
-from posetlab.generators import make_family
+from posetlab.generators import face_poset_of_complex, make_family, random_pure_subcomplex, suite
 from posetlab.homology import (
     chain_complex,
-    induced_inclusion_map,
+    maximal_interval_classes,
+    poset_is_cohen_macaulay,
     relative_chain_complex,
-    vertex_link_map,
 )
 from posetlab.linalg import FieldSpec
 
@@ -84,23 +88,59 @@ def test_sparse_bases_against_dense_oracle(data):
     check_bases(relative_chain_complex(delta, delta.contrastar((v,)), fld), rng)
 
 
-@EXAMPLES
-@given(st.data())
-def test_induced_map_ranks_against_dense_oracle(data):
-    delta, fld, _ = cases(data.draw)
-    for v in delta.vertices[:3]:
-        assert vertex_link_map(delta, v, fld).rank == dense.vertex_link_map(delta, v, fld).rank
-        gamma = delta.contrastar((v,))
-        for dim in range(delta.dim + 1):
-            got = induced_inclusion_map(delta, gamma, dim, fld)
-            want = dense.induced_inclusion_map(delta, gamma, dim, fld)
-            assert (got.rank, got.domain_dim, got.codomain_dim) == (
-                want.rank, want.domain_dim, want.codomain_dim
-            ), (v, dim)
-
-
 def test_class_coordinates_refuse_a_non_cycle():
     ccr = chain_complex(SimplicialComplex([("a", "b"), ("b", "c"), ("a", "c")]), FieldSpec())
     edge = ccr.index[1][("a", "b")]
     with pytest.raises(PosetLabError):
         ccr.class_coordinates(1, [{edge: 1}])
+
+
+# -- interval classes against the dense induced maps -----------------------------
+
+
+def class_outcome(P, fld, compute):
+    """The ambient dimension and the greedy basis in both orders, or the
+    type and dimension of the error raised on the way."""
+    try:
+        classes = compute(P, fld)
+        data = SimpleNamespace(interval_classes=classes, fld=fld)
+        chosen = [select_basis(data, reverse).chosen for reverse in (False, True)]
+    except PosetLabError as exc:
+        return type(exc).__name__, getattr(exc, "dimension", None)
+    for vector in classes.classes.values():
+        assert vector.dtype == np.int64 and vector[np.flatnonzero(vector)[0]] == 1
+    return classes.ambient_dim, chosen
+
+
+def drawn_cm_face_posets(fld):
+    """Face posets of pure complexes drawn on up to seven vertices that are
+    Cohen-Macaulay over the field: simplicial posets, so lower Eulerian."""
+    for n, d in ((5, 1), (6, 1), (5, 2), (6, 2), (7, 2), (6, 3)):
+        for seed in range(6):
+            P = face_poset_of_complex(random_pure_subcomplex(n, d, seed), name=f"r{n}-{d}-s{seed}")
+            if poset_is_cohen_macaulay(P, fld)[0]:
+                yield P
+
+
+def near_misses():
+    """A triangle with a pendant edge, whose pendant interval carries no
+    class, and induced subposets of the Boolean lattice of rank 4."""
+    lopsided = SimplicialComplex([("a", "b", "c"), ("c", "d")])
+    return [face_poset_of_complex(lopsided, name="lopsided")] + [drawn_poset(s) for s in range(24)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_interval_classes_against_dense_oracle(p):
+    """The same ambient dimension, the same greedy choice in both orders,
+    or the same error with the same dimension."""
+    fld = FieldSpec(p)
+    seen = set()
+    posets = [P for _, P in suite() if P.has_minimum] + list(drawn_cm_face_posets(fld)) + near_misses()
+    for P in posets:
+        got = class_outcome(P, fld, maximal_interval_classes)
+        assert got == class_outcome(P, fld, dense.maximal_interval_classes), P.name
+        if isinstance(got[0], int):
+            seen.add("orders differ" if got[1][0] != got[1][1] else "classes")
+        else:
+            seen.add(got[0])
+    assert {"classes", "orders differ", "OmegaNotOneDimensionalError", "PosetLabError"} <= seen
