@@ -5,7 +5,6 @@ from .complexes import (
     SimplicialComplex,
     complex_from_dict,
     complex_to_dict,
-    open_interval_complex,
     order_complex,
     reduced_order_complex,
 )

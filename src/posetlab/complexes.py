@@ -244,16 +244,6 @@ def reduced_order_complex(P: FinitePoset, name=None) -> SimplicialComplex:
     return order_complex(P.remove_min(), name=name)
 
 
-def open_interval_complex(P: FinitePoset, x, y, name=None) -> SimplicialComplex:
-    """Order complex of the open interval (x, y); void when y covers x."""
-    members = P.open_interval_elements(x, y)
-    if not members:
-        return SimplicialComplex.void(name=name or f"chains({P.name}({x},{y}))")
-    return order_complex(
-        P.induced(members), name=name or f"chains({P.name}({x},{y}))"
-    )
-
-
 # -- serialization ------------------------------------------------------------
 
 

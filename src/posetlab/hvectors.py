@@ -2,7 +2,9 @@
 
 All pipelines run on exact integer polynomials; the alternating-sign
 expansions of (q-1)^k cancel exactly or not at all, so any arithmetic slip
-surfaces as a hard failure instead of a wrong number.
+surfaces as a hard failure instead of a wrong number.  The toric recursion
+runs one rank at a time on coefficient matrices, in int64 while a bound on
+the coefficients allows it and on Python integers beyond that bound.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
 )
 from .intpoly import ONE_MINUS_Q, ONE_PLUS_Q, Q, Q_MINUS_ONE, IntPolynomial
 from .poset import (
+    _INT64_GUARD,
     FinitePoset,
     atoms_below,
     is_cubical_poset,
@@ -107,30 +110,41 @@ def toric_face_polynomials(P: FinitePoset) -> dict:
     The pair for the minimum is (1, 1); above it, the first polynomial sums
     the second over the strict lower set weighted by (q-1)^(interval rank - 1),
     and the second truncates-and-differences the first halfway up its degree.
-    The second polynomials are summed per interval rank first, so each rank
-    costs one product by its precomputed power of (q-1).
+    With Z_k the elements of rank k and G_j the coefficient rows of the
+    second polynomials on Z_j, the first polynomials on Z_k are
+    F_k = sum over j < k of leq[Z_j, Z_k]^T G_j (q-1)^(k-j-1): one matrix
+    product per pair of ranks.  The products run in int64 while a bound on
+    their magnitudes stays under the guard `mobius` uses, and on Python ints
+    (dtype=object) from the first rank where it does not.
     """
     _require_lower_eulerian(P)
     d = _graded_rank(P)
-    profile = rank_profile(P)
-    rho = profile.rho
-    leq = P.leq_matrix
     els = P.elements
     m = P.index(P.minimum())
-    powers = [None] + [Q_MINUS_ONE ** (r - 1) for r in range(1, d + 1)]
-    order = sorted(range(len(P)), key=lambda i: (rho[m, i], els[i]))
+    profile = rank_profile(P)
+    rank = profile.rho[m].tolist()
+    order = sorted(range(len(P)), key=lambda i: (rank[i], els[i]))
+    ends = np.cumsum(profile.rank_counts()).tolist()
+    Z = [order[a:b] for a, b in zip([0] + ends, ends)]  # the elements of each rank
+    powers = [(Q_MINUS_ONE**e).coeffs for e in range(d)]
     one = IntPolynomial.constant(1)
     out = {els[m]: (one, one)}
-    g = {m: one.coeffs}
-    for z in order[1:]:
-        below = np.flatnonzero(leq[:, z])
-        below = below[below != z]
-        f = _grouped_sum(zip(rho[below, z].tolist(), (g[y] for y in below.tolist())), powers)
-        half = (int(rho[m, z]) - 1) // 2
-        ks = [f.coefficient(i) for i in range(half + 1)]
-        gz = IntPolynomial([ks[0]] + [ks[i] - ks[i - 1] for i in range(1, half + 1)])
-        out[els[z]] = (f, gz)
-        g[z] = gz.coeffs
+    G = [np.ones((1, 1), dtype=np.int64)]
+    largest = [1]  # the largest |coefficient| in G[j]
+    for k in range(1, d + 1):
+        # |F_k| <= sum |Z_j| |G_j| 2^(k-j-1), and |G_k| <= 2 |F_k|.
+        bound = 2 * sum(len(Z[j]) * largest[j] << (k - j - 1) for j in range(k))
+        dtype = np.int64 if bound <= _INT64_GUARD else object
+        F = np.zeros((len(Z[k]), k), dtype=dtype)
+        for j in range(k):
+            below = P.leq_matrix[np.ix_(Z[j], Z[k])].T @ G[j].astype(dtype)
+            for c, b in enumerate(powers[k - j - 1]):
+                F[:, c : c + below.shape[1]] += b * below
+        Gk = np.diff(F[:, : (k - 1) // 2 + 1], axis=1, prepend=0)
+        G.append(Gk)
+        largest.append(int(np.abs(Gk).max()))
+        for z, f, g in zip(Z[k], F.tolist(), Gk.tolist()):
+            out[els[z]] = (IntPolynomial(f), IntPolynomial(g))
     return out
 
 

@@ -5,9 +5,10 @@ reachability matrix, so order queries and interval traversals are numpy
 row operations.  The principal down-sets (and up-sets) are also read once
 into Python int bitsets (bit i of down[j] is set iff i <= j); the cover
 check, the structural predicates and the interval scans of the order complex
-are set arithmetic on them.  Instances are immutable after construction; lazy
-caches are filled with idempotent writes and are safe to share between
-threads.
+are set arithmetic on them.  Interval ranks are longest chain lengths above
+the minimal elements, filled one height level at a time over the cover
+arrays.  Instances are immutable after construction; lazy caches are filled
+with idempotent writes and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -411,13 +412,65 @@ class RankProfile:
 
 
 def rank_profile(P: FinitePoset) -> RankProfile:
-    """Ranks of all closed intervals; raises NotLocallyGradedError on failure."""
+    """Ranks of all closed intervals; raises NotLocallyGradedError on failure.
+
+    R[y, t] is the longest chain length from the t-th minimal element m_t up
+    to y, filled one height level at a time.  P is locally graded exactly
+    when R[b, t] = R[a, t] + 1 on every cover a < b with m_t <= a: then every
+    saturated chain from m_t to y has length R[y, t], and a maximal chain of
+    [x, y] with m_t <= x extends by one fixed chain of [m_t, x] to such a
+    chain, so rho[x, y] = R[y, t] - R[x, t].  Heights alone do not suffice
+    without a minimum: in the crown m1 < p < q, m2 < q every interval is
+    graded, yet q sits at height 2 over the cover m2 < q.  When the test
+    fails, the dense program finds the witness.
+    """
     # The cache holds the arrays, not the profile: a profile refers back to
     # P, and a cycle through P._cache would keep derived posets alive until
     # a full garbage collection.
     cached = P._cache.get("rank_profile")
     if cached is not None:
         return RankProfile(P, cached)
+    n = len(P)
+    index = P._index
+    lo = np.array([index[a] for a, _ in P.covers], dtype=np.intp)
+    hi = np.array([index[b] for _, b in P.covers], dtype=np.intp)
+
+    # Heights by relaxing every cover until nothing moves: one round per level.
+    height = np.zeros(n, dtype=np.int32)
+    while lo.size:
+        lifted = height.copy()
+        np.maximum.at(lifted, hi, height[lo] + 1)
+        if (lifted == height).all():
+            break
+        height = lifted
+
+    minimal = np.flatnonzero(height == 0)
+    R = np.full((n, minimal.size), _NO_CHAIN, dtype=np.int32)
+    R[minimal, np.arange(minimal.size)] = 0
+    # The covers into level k read only the finished rows of lower levels.
+    level = height[hi]
+    for k in range(1, int(height.max()) + 1):
+        into = level == k
+        below = R[lo[into]]
+        np.maximum.at(R, hi[into], np.where(below >= 0, below + 1, _NO_CHAIN))
+
+    Rlo, Rhi = R[lo], R[hi]
+    if ((Rlo >= 0) & (Rhi != Rlo + 1)).any():
+        rho = _dense_rank_matrix(P)
+    else:
+        t = (R >= 0).argmax(axis=1)  # the first minimal element below x
+        rho = R.T[t]  # rho[x, y] = R[y, t(x)]
+        rho -= R[np.arange(n), t][:, None]
+        np.copyto(rho, _NO_CHAIN, where=~P.leq_matrix)
+    rho.flags.writeable = False
+    P._cache["rank_profile"] = rho
+    return RankProfile(P, rho)
+
+
+def _dense_rank_matrix(P: FinitePoset) -> np.ndarray:
+    """The longest and shortest chain lengths of every pair, one gather per
+    element; raises NotLocallyGradedError on the first pair by name where
+    they differ, and otherwise returns the longest."""
     n = len(P)
     leq = P.leq_matrix
     children = [[] for _ in range(n)]
@@ -445,10 +498,7 @@ def rank_profile(P: FinitePoset) -> RankProfile:
         raise NotLocallyGradedError(
             P.elements[i], P.elements[j], (int(shortest[i, j]), int(longest[i, j]))
         )
-    rho = longest  # _NO_CHAIN off the order, where no chain reaches
-    rho.flags.writeable = False
-    P._cache["rank_profile"] = rho
-    return RankProfile(P, rho)
+    return longest  # _NO_CHAIN off the order, where no chain reaches
 
 
 def is_graded(P: FinitePoset):

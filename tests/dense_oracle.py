@@ -4,17 +4,27 @@ matrices.  Kept as the reference the sparse bases, class coordinates, the
 ranks of maps on top homology and the interval classes are checked against;
 small inputs only.  The induced maps on homology in explicit bases, and the
 interval classes through them, are the ones the package computed before it
-read the classes off interval Betti numbers.
+read the classes off interval Betti numbers.  The order complex of an open
+interval, built on its own, is here too: the package reads open intervals
+off its interval scans instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from posetlab.complexes import open_interval_complex, order_complex
+from posetlab.complexes import SimplicialComplex, order_complex
 from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError
 from posetlab.homology import MaximalIntervalClasses, chain_complex, relative_chain_complex
 from posetlab.poset import rank_profile
+
+
+def open_interval_complex(P, x, y, name=None):
+    """Order complex of the open interval (x, y); void when y covers x."""
+    members = P.open_interval_elements(x, y)
+    if not members:
+        return SimplicialComplex.void(name=name or f"chains({P.name}({x},{y}))")
+    return order_complex(P.induced(members), name=name or f"chains({P.name}({x},{y}))")
 
 
 # -- row reduction -------------------------------------------------------------

@@ -7,8 +7,9 @@ shared across criteria.
 
 import time
 
+from dense_oracle import open_interval_complex
 from posetlab.cli import main as cli_main
-from posetlab.complexes import open_interval_complex, order_complex, reduced_order_complex
+from posetlab.complexes import order_complex, reduced_order_complex
 from posetlab.generators import (
     boolean_lattice,
     cube_face_lattice,

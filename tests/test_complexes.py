@@ -1,12 +1,12 @@
 import pytest
 
 from conftest import brute_force_chains
+from dense_oracle import open_interval_complex
 from posetlab.complexes import (
     SimplicialComplex,
     complex_from_dict,
     complex_to_dict,
     is_subcomplex,
-    open_interval_complex,
     order_complex,
     reduced_order_complex,
 )

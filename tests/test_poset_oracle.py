@@ -1,8 +1,8 @@
 """The poset layer against `poset_oracle.py`, the code it replaced: the
 redundant-cover check, covers of derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
-meet, simplicial and cubical tests, and the toric polynomials.  Drawn
-instances are small; the `large` tier runs the cli-files inputs of 730
-elements (`pytest -m large`).
+meet, simplicial and cubical tests, and the toric polynomials, also on
+Python integers throughout.  Drawn instances are small; the `large` tier
+runs the cli-files inputs of 730 elements (`pytest -m large`).
 """
 
 import random
@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poset_oracle as oracle
-from posetlab import poset as poset_module
+from posetlab import hvectors, poset as poset_module
 from posetlab.errors import NotLocallyGradedError, NotLowerGradedError, PosetLabError, RedundantCoverError
-from posetlab.generators import boolean_lattice, cube_face_lattice, make_family
+from posetlab.generators import boolean_lattice, cube_face_lattice, make_family, suite
 from posetlab.hvectors import cubical_h, short_cubical_h, toric_face_polynomials, toric_h
 from posetlab.poset import (
     FinitePoset,
@@ -98,6 +98,14 @@ NEAR_MISSES = [
         boolean_lattice(4), boolean_lattice(4).covers.index(("12", "123")))),
     ("boolean-3-dual-plus-min", lambda: boolean_dual_plus_min(3)),
 ]
+
+
+def crown():
+    """m1 < p < q and m2 < q: every interval is graded, yet q lies at height
+    2 over the cover m2 < q, so heights alone give the wrong rank there."""
+    return FinitePoset.from_covers(
+        ["m1", "m2", "p", "q"], [("m1", "p"), ("p", "q"), ("m2", "q")], name="crown"
+    )
 
 
 @st.composite
@@ -250,6 +258,58 @@ def test_near_misses_match_oracle(name, build):
     check_against_oracle(P, P.elements[1:] or P.elements)
 
 
+@pytest.mark.parametrize("build, locally_graded", [
+    (crown, True),
+    (lambda: crown().attach_min(), False),  # [0^, q] has chains of lengths 2 and 3
+], ids=["crown", "crown-plus-min"])
+def test_crown_ranks_match_oracle(build, locally_graded):
+    P = build()
+    assert outcome(lambda: rank_profile(P).rho.tolist()) == outcome(
+        lambda: oracle.rank_matrix(P).tolist()
+    )
+    assert is_graded(P) == oracle.is_graded(P) == (False, None)
+    assert (outcome(rank_profile, P)[0] == "value") == locally_graded
+    check_against_oracle(P, P.elements[1:])
+
+
+def test_dense_rank_program_runs_only_off_local_gradedness(monkeypatch):
+    """Fresh copies of the suite, the near-misses and the crowns: the dense
+    program runs exactly on the posets the oracle finds not locally graded."""
+    calls = []
+    real = poset_module._dense_rank_matrix
+    monkeypatch.setattr(
+        poset_module, "_dense_rank_matrix", lambda P: calls.append(P.name) or real(P)
+    )
+    instances = [P for _, P in suite()] + [build() for _, build in NEAR_MISSES]
+    instances += [crown(), crown().attach_min()]
+    want = []
+    for P in instances:
+        P = FinitePoset.from_covers(P.elements, P.covers, name=P.name)
+        if outcome(oracle.rank_matrix, P)[0] != "value":
+            want.append(P.name)
+        outcome(rank_profile, P)
+    assert calls == want
+    assert "crown+min" in want and "crown" not in want
+
+
+def check_toric_on_python_ints(P):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hvectors, "_INT64_GUARD", 0)  # every rank's bound exceeds it
+        assert toric_face_polynomials(P) == oracle.toric_face_polynomials(P)
+        assert toric_h(P).entries == oracle.toric_h(P)
+
+
+def test_exact_toric_recursion_matches_oracle_on_the_suite():
+    for _, P in suite():
+        check_toric_on_python_ints(P)
+
+
+@EXAMPLES
+@given(st.data())
+def test_exact_toric_recursion_matches_oracle_on_drawn_posets(data):
+    check_toric_on_python_ints(data.draw(posets().filter(oracle.toric_applies)))
+
+
 def test_near_misses_fail_the_cube_and_boolean_tests():
     assert is_cubical_poset(polygon_face(4)) and is_cubical_poset(polygon_face(4, ("A", "B")))
     assert not is_meet_semilattice(polygon_face(4, ("A", "B")))
@@ -271,6 +331,25 @@ def test_cube_test_runs_once_per_poset(monkeypatch):
     cubical_h(P)
     short_cubical_h(P)
     assert len(calls) == 1  # the one maximal element, once
+
+
+def butterfly(d):
+    """A minimum, then two elements of each rank 1..d, each above both
+    elements of the rank below: the face poset of the sphere with two cells
+    in each dimension, lower Eulerian of rank d."""
+    elements = ["0"] + [f"{s}{i}" for i in range(1, d + 1) for s in "ab"]
+    covers = [("0", "a1"), ("0", "b1")]
+    covers += [(f"{s}{i}", f"{u}{i + 1}") for i in range(1, d) for s in "ab" for u in "ab"]
+    return FinitePoset.from_covers(elements, covers, name=f"butterfly-{d}")
+
+
+@pytest.mark.large
+def test_toric_recursion_past_int64_matches_oracle():
+    """From rank 63 on the int64 bound fails, and (q-1)^e for e >= 67 has
+    coefficients beyond int64, so int64 alone would overflow at rank 70."""
+    P = butterfly(70)
+    assert toric_face_polynomials(P) == oracle.toric_face_polynomials(P)
+    assert toric_h(P).entries == oracle.toric_h(P)
 
 
 @pytest.mark.large
