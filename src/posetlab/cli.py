@@ -10,6 +10,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 import numpy as np
@@ -36,14 +38,64 @@ from .poset import (
 )
 
 
+# The C encoder, for leaves and flat containers: it puts a raw "\x00", which
+# no ASCII-escaped string contains, where the indented layout breaks the line.
+_FLAT = json.JSONEncoder(separators=("\x00", ": "), sort_keys=True)
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte."""
+    out = []
+    _layout(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _layout(obj, nl, out):
+    """Append the indented JSON text of `obj` to `out`; `nl` is a newline and
+    the indent of the line `obj` starts on.  Dicts and lists are walked here.
+    A list or dict of leaves, or a list of non-empty lists of leaves, goes to
+    the C encoder in one call, and its separators become newlines and indents."""
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)) or not obj:
+        out.append(_FLAT.encode(obj))
+        return
+    inner = nl + "  "
+    kinds = set(map(type, obj if is_list else obj.values()))
+    if kinds <= _LEAVES:
+        text = _FLAT.encode(obj)
+        out.append(text[0] + inner + text[1:-1].replace("\x00", "," + inner) + nl + text[-1])
+    elif is_list and kinds <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) <= _LEAVES:
+        row = inner + "  "
+        text = _FLAT.encode(obj)[2:-2].replace("]\x00[", f"{inner}],{inner}[{row}")
+        text = text.replace("\x00", "," + row)
+        out.append(f"[{inner}[{row}{text}{inner}]{nl}]")
+    elif is_list:
+        out.append("[")
+        for k, item in enumerate(obj):
+            out.append("," + inner if k else inner)
+            _layout(item, inner, out)
+        out.append(nl + "]")
+    else:
+        out.append("{")
+        for k, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = _FLAT.encode(key)
+            out.append(("," + inner if k else inner) + encode_basestring_ascii(key) + ": ")
+            _layout(value, inner, out)
+        out.append(nl + "}")
 
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -51,12 +103,18 @@ def _emit(text: str, out_path: str | None):
 def _load_instance(path: str):
     """Read a poset or complex JSON file, deciding by its keys."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply to read")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     if "covers" in data:
@@ -189,9 +247,7 @@ def cmd_compute(args) -> int:
         if not is_poset:
             raise UsageError(_POSET_ONLY)
         table = mobius(instance)
-        values = sorted(
-            [x, y, v] for (x, y), v in table.items()
-        )
+        values = [[x, y, v] for (x, y), v in table.items()]
         payload = {"name": instance.name, "values": values}
     elif inv == "psi":
         if not is_poset:

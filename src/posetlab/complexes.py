@@ -17,7 +17,7 @@ from .errors import (
     PosetLabError,
     UnknownVertexError,
 )
-from .poset import FinitePoset, json_list
+from .poset import FinitePoset, json_list, json_name
 
 
 def _norm_face(face):
@@ -256,7 +256,6 @@ def complex_to_dict(c: SimplicialComplex) -> dict:
 
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
+    name = json_name(data, "complex")
     facets = json_list(data.get("facets"), "facets", list)
-    return SimplicialComplex(
-        [json_list(f, "facet") for f in facets], name=data.get("name", "complex")
-    )
+    return SimplicialComplex([json_list(f, "facet") for f in facets], name=name)

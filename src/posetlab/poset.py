@@ -2,10 +2,12 @@
 
 A poset is stored as its irredundant cover list plus a cached boolean
 reachability matrix, so order queries and interval traversals are numpy
-row operations.  The principal down-sets (and up-sets) are also read once
-into Python int bitsets (bit i of down[j] is set iff i <= j); the cover
-check, the structural predicates and the interval scans of the order complex
-are set arithmetic on them.  Interval ranks are longest chain lengths above
+row operations.  The principal down-sets (and up-sets) are also kept as
+Python int bitsets (bit i of down[j] is set iff i <= j); built from covers,
+they come first, in topological order, and the matrix is unpacked from them.
+The cover check, the structural predicates and the interval scans of the
+order complex are set arithmetic on them.  A cover list is checked in one
+pass, and one cover at a time only to name the first bad one.  Interval ranks are longest chain lengths above
 the minimal elements, filled one height level at a time over the cover
 arrays.  Instances are immutable after construction; lazy caches are filled
 with idempotent writes and are safe to share between threads.
@@ -13,7 +15,9 @@ with idempotent writes and are safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -63,48 +67,52 @@ class FinitePoset:
         elements = list(elements)
         if not elements:
             raise EmptyPosetError("a poset needs at least one element")
-        index = {}
-        for e in elements:
-            if e in index:
-                raise DuplicateElementError(e)
-            index[e] = len(index)
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) < len(elements):
+            seen = set()
+            for e in elements:
+                if e in seen:
+                    raise DuplicateElementError(e)
+                seen.add(e)
         n = len(elements)
-
-        seen = set()
-        cover_idx = []
-        for a, b in covers:
-            if a not in index:
-                raise UnknownElementError(a)
-            if b not in index:
-                raise UnknownElementError(b)
-            if a == b:
-                raise CycleDetectedError([a])
-            if (a, b) in seen:
-                raise DuplicateCoverError(a, b)
-            seen.add((a, b))
-            cover_idx.append((index[a], index[b]))
+        lo, hi = _cover_indices(index, list(covers))
 
         parents = [[] for _ in range(n)]  # j in parents[i] iff i is covered by j
         children = [[] for _ in range(n)]
-        for ia, ib in cover_idx:
+        for ia, ib in zip(lo, hi):
             parents[ia].append(ib)
             children[ib].append(ia)
-
         topo = _toposort(n, parents, children, elements)
-        leq = _closure(n, parents, topo)
+
+        # The principal up- and down-sets as int bitsets, each the union of
+        # its neighbours' in topological order.
+        up, down = [0] * n, [0] * n
+        for u in reversed(topo):
+            row = 1 << u
+            for v in parents[u]:
+                row |= up[v]
+            up[u] = row
+        for u in topo:
+            row = 1 << u
+            for v in children[u]:
+                row |= down[v]
+            down[u] = row
 
         # A cover (a, b) is redundant when some z has a < z < b; the witness
         # is the lowest such index.
-        down, up = _bitsets(leq.T), _bitsets(leq)
-        for ia, ib in cover_idx:
-            between = up[ia] & down[ib] & ~(1 << ia | 1 << ib)
-            if between:
+        for ia, ib in zip(lo, hi):
+            between = up[ia] & down[ib]
+            if between.bit_count() > 2:
+                between &= ~(1 << ia | 1 << ib)
                 z = (between & -between).bit_length() - 1
                 raise RedundantCoverError(elements[ia], elements[ib], elements[z])
 
-        covers_sorted = tuple(sorted((elements[ia], elements[ib]) for ia, ib in cover_idx))
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in up), dtype=np.uint8)
+        leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+        covers_sorted = tuple(sorted(zip(map(elements.__getitem__, lo), map(elements.__getitem__, hi))))
         P = cls(elements, leq, covers_sorted, topo, name=name)
-        P._cache["down"], P._cache["up"] = down, up
+        P._cache["down"], P._cache["up"] = tuple(down), tuple(up)
         return P
 
     @classmethod
@@ -352,6 +360,41 @@ def _bits(mask):
     return out
 
 
+def _cover_indices(index, covers):
+    """The covers as lists of lower and upper indices.  The whole list is
+    checked in one pass: pairs of known ids, no self-loops, no repeats.  Only
+    when that fails does the per-cover loop run, to raise for the first bad
+    cover in list order."""
+    try:
+        if set(map(len, covers)) <= {2}:
+            flat = list(map(index.__getitem__, chain.from_iterable(covers)))
+            lo, hi = flat[0::2], flat[1::2]
+            if not any(map(operator.eq, lo, hi)) and len(set(zip(lo, hi))) == len(lo):
+                return lo, hi
+    except (KeyError, TypeError):
+        pass
+    return _checked_cover_indices(index, covers)
+
+
+def _checked_cover_indices(index, covers):
+    """`_cover_indices` one cover at a time, raising for the first bad one."""
+    seen = set()
+    lo, hi = [], []
+    for a, b in covers:
+        if a not in index:
+            raise UnknownElementError(a)
+        if b not in index:
+            raise UnknownElementError(b)
+        if a == b:
+            raise CycleDetectedError([a])
+        if (a, b) in seen:
+            raise DuplicateCoverError(a, b)
+        seen.add((a, b))
+        lo.append(index[a])
+        hi.append(index[b])
+    return lo, hi
+
+
 def _toposort(n, parents, children, elements):
     indeg = [len(children[i]) for i in range(n)]
     stack = [i for i in range(n) if indeg[i] == 0]
@@ -367,15 +410,6 @@ def _toposort(n, parents, children, elements):
         stuck = next(elements[i] for i in range(n) if indeg[i] > 0)
         raise CycleDetectedError([stuck])
     return topo
-
-
-def _closure(n, parents, topo):
-    leq = np.eye(n, dtype=bool)
-    for u in reversed(topo):
-        row = leq[u]
-        for v in parents[u]:
-            row |= leq[v]
-    return leq
 
 
 # -- rank structure ----------------------------------------------------------
@@ -541,11 +575,17 @@ class MobiusTable:
         return self.mu(*pair)
 
     def items(self):
+        """((x, y), mu(x, y)) over the pairs x <= y, ordered by the name of
+        x, then of y: a lexsort on the ranks of the names."""
         els = self.poset.elements
+        rank = np.empty(len(els), dtype=np.intp)
+        rank[sorted(range(len(els)), key=els.__getitem__)] = np.arange(len(els))
         rows, cols = np.nonzero(self.poset.leq_matrix)
-        values = self._values[rows, cols].tolist()
-        for i, j, v in zip(rows.tolist(), cols.tolist(), values):
-            yield (els[i], els[j]), int(v)
+        order = np.lexsort((rank[cols], rank[rows]))
+        rows, cols = rows[order], cols[order]
+        names = np.array(els, dtype=object)
+        pairs = zip(names[rows].tolist(), names[cols].tolist())
+        return zip(pairs, self._values[rows, cols].tolist())
 
 
 # |mu| above 2^62 / n could overflow the int64 sum of n such values.
@@ -832,17 +872,30 @@ def json_list(entry, what, item=str) -> tuple:
     `item`; anything else raises a PosetLabError that names the bad entry."""
     if not isinstance(entry, list):
         raise PosetLabError(f"{what} {entry!r} is not a list")
-    bad = [x for x in entry if not isinstance(x, item)]
-    if bad:
-        kind = "string id" if item is str else item.__name__
-        raise PosetLabError(f"{what} entry {bad[0]!r} is not a {kind}")
+    if not set(map(type, entry)) <= {item}:
+        bad = [x for x in entry if not isinstance(x, item)]
+        if bad:
+            kind = "string id" if item is str else item.__name__
+            raise PosetLabError(f"{what} entry {bad[0]!r} is not a {kind}")
     return tuple(entry)
 
 
+def json_name(data: dict, default: str) -> str:
+    """The "name" of a parsed JSON file, `default` when it has none; a name
+    that is not a string raises a PosetLabError that names it."""
+    name = data.get("name", default)
+    if not isinstance(name, str):
+        raise PosetLabError(f"name {name!r} is not a string")
+    return name
+
+
 def poset_from_dict(data: dict) -> FinitePoset:
+    name = json_name(data, "poset")
     elements = json_list(data.get("elements"), "elements")
-    covers = [json_list(c, "cover") for c in json_list(data.get("covers"), "covers", list)]
-    bad = [c for c in covers if len(c) != 2]
-    if bad:
-        raise PosetLabError(f"cover {list(bad[0])!r} is not a pair of element ids")
-    return FinitePoset.from_covers(elements, covers, name=data.get("name", "poset"))
+    covers = json_list(data.get("covers"), "covers", list)
+    if not set(map(type, chain.from_iterable(covers))) <= {str}:
+        covers = [json_list(c, "cover") for c in covers]
+    if not set(map(len, covers)) <= {2}:
+        bad = next(c for c in covers if len(c) != 2)
+        raise PosetLabError(f"cover {list(bad)!r} is not a pair of element ids")
+    return FinitePoset.from_covers(elements, covers, name=name)

@@ -1,5 +1,6 @@
 """The poset layer as the package computed it before the down-set bitsets:
-the redundant-cover test one boolean row per cover, the boolean matrix
+the file loader one cover at a time over a boolean closure, the
+redundant-cover test one boolean row per cover, the boolean matrix
 product for covers, ranks and Möbius values one cover or one row at a
 time, the meet test on every pair, Boolean intervals by atom supports, cube
 intervals by isomorphism with a template cube lattice (the isomorphism
@@ -12,13 +13,98 @@ from itertools import combinations
 
 import numpy as np
 
-from posetlab.errors import NotLocallyGradedError
+from posetlab.errors import (
+    CycleDetectedError,
+    DuplicateCoverError,
+    DuplicateElementError,
+    EmptyPosetError,
+    NotLocallyGradedError,
+    PosetLabError,
+    RedundantCoverError,
+    UnknownElementError,
+)
 from posetlab.generators import cube_face_lattice
 from posetlab.hvectors import _graded_rank
 from posetlab.intpoly import Q_MINUS_ONE, IntPolynomial
-from posetlab.poset import FinitePoset, _closure, _toposort
+from posetlab.poset import FinitePoset, _bitsets, _toposort
 
 _NO_CHAIN = -1
+
+
+def closure(n, parents, topo):
+    """The reflexive order matrix, one boolean row per element, from the top
+    of the topological order down."""
+    leq = np.eye(n, dtype=bool)
+    for u in reversed(topo):
+        row = leq[u]
+        for v in parents[u]:
+            row |= leq[v]
+    return leq
+
+
+def from_covers(elements, covers, name="poset"):
+    """`FinitePoset.from_covers`, every cover checked on its own in list
+    order, over the boolean closure."""
+    elements = list(elements)
+    if not elements:
+        raise EmptyPosetError("a poset needs at least one element")
+    index = {}
+    for e in elements:
+        if e in index:
+            raise DuplicateElementError(e)
+        index[e] = len(index)
+    n = len(elements)
+    seen = set()
+    cover_idx = []
+    for a, b in covers:
+        if a not in index:
+            raise UnknownElementError(a)
+        if b not in index:
+            raise UnknownElementError(b)
+        if a == b:
+            raise CycleDetectedError([a])
+        if (a, b) in seen:
+            raise DuplicateCoverError(a, b)
+        seen.add((a, b))
+        cover_idx.append((index[a], index[b]))
+    parents = [[] for _ in range(n)]
+    children = [[] for _ in range(n)]
+    for ia, ib in cover_idx:
+        parents[ia].append(ib)
+        children[ib].append(ia)
+    topo = _toposort(n, parents, children, elements)
+    leq = closure(n, parents, topo)
+    down, up = _bitsets(leq.T), _bitsets(leq)
+    for ia, ib in cover_idx:
+        between = up[ia] & down[ib] & ~(1 << ia | 1 << ib)
+        if between:
+            z = (between & -between).bit_length() - 1
+            raise RedundantCoverError(elements[ia], elements[ib], elements[z])
+    covers_sorted = tuple(sorted((elements[ia], elements[ib]) for ia, ib in cover_idx))
+    P = FinitePoset(elements, leq, covers_sorted, topo, name=name)
+    P._cache["down"], P._cache["up"] = down, up
+    return P
+
+
+def _json_list(entry, what, item=str):
+    if not isinstance(entry, list):
+        raise PosetLabError(f"{what} {entry!r} is not a list")
+    bad = [x for x in entry if not isinstance(x, item)]
+    if bad:
+        kind = "string id" if item is str else item.__name__
+        raise PosetLabError(f"{what} entry {bad[0]!r} is not a {kind}")
+    return tuple(entry)
+
+
+def from_dict(data):
+    """`poset_from_dict`, every entry checked on its own; the name is not
+    checked."""
+    elements = _json_list(data.get("elements"), "elements")
+    covers = [_json_list(c, "cover") for c in _json_list(data.get("covers"), "covers", list)]
+    bad = [c for c in covers if len(c) != 2]
+    if bad:
+        raise PosetLabError(f"cover {list(bad[0])!r} is not a pair of element ids")
+    return from_covers(elements, covers, name=data.get("name", "poset"))
 
 
 def redundant_cover(elements, covers):
@@ -32,7 +118,7 @@ def redundant_cover(elements, covers):
     for a, b in covers:
         parents[index[a]].append(index[b])
         children[index[b]].append(index[a])
-    leq = _closure(n, parents, _toposort(n, parents, children, elements))
+    leq = closure(n, parents, _toposort(n, parents, children, elements))
     lt = leq & ~np.eye(n, dtype=bool)
     for a, b in covers:
         between = lt[index[a]] & lt[:, index[b]]

@@ -2,8 +2,10 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import drawn_poset, rp2
+from posetlab import cli
 from posetlab.cli import main
 from posetlab.complexes import SimplicialComplex, complex_to_dict, reduced_order_complex
 from posetlab.generators import face_poset_of_complex, make_family
@@ -130,7 +132,9 @@ def test_compute_mobius(tmp_path, capsys):
     run_cli("generate", "boolean", "2", "-o", str(f))
     assert run_cli("compute", "mobius", str(f)) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["values"] == sorted(payload["values"])
     values = {(a, b): v for a, b, v in payload["values"]}
+    assert len(values) == 9
     assert values[("e", "12")] == 1
     assert values[("e", "1")] == -1
     assert values[("1", "1")] == 1
@@ -209,6 +213,9 @@ def test_generate_rejects_wrong_parameter_counts(capsys):
         ({"name": "m", "facets": [["a", 4711]]}, "4711"),
         ({"name": "m", "facets": ["abc"]}, "abc"),
         (["covers"], "JSON object"),
+        ({"name": ["x"], "elements": ["a"], "covers": []}, "name ['x']"),
+        ({"name": None, "elements": ["a"], "covers": []}, "name None"),
+        ({"name": 7, "facets": [["a"]]}, "name 7"),
     ],
 )
 def test_schema_errors_exit_2_and_name_the_entry(tmp_path, capsys, payload, token):
@@ -217,6 +224,97 @@ def test_schema_errors_exit_2_and_name_the_entry(tmp_path, capsys, payload, toke
     assert run_cli("compute", "chi", str(f)) == 2
     err = capsys.readouterr().err
     assert token in err and "Traceback" not in err
+
+
+def test_a_file_without_a_name_takes_the_default(tmp_path, capsys):
+    poset, facets = tmp_path / "poset.json", tmp_path / "facets.json"
+    poset.write_text(json.dumps({"elements": ["a"], "covers": []}))
+    facets.write_text(json.dumps({"facets": [["a"]]}))
+    assert run_cli("compute", "mobius", str(poset)) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "poset"
+    assert run_cli("compute", "chi", str(facets)) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "complex"
+
+
+def test_unreadable_inputs_exit_2_and_name_the_path(tmp_path, capsys, monkeypatch):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"name": "caf\xe9", "elements": ["a"], "covers": []}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (tmp_path, latin, deep):
+        assert run_cli("compute", "mobius", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert run_cli("compute", "mobius", str(latin)) == 2
+    assert f"cannot read {latin}: Permission denied" in capsys.readouterr().err
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-directory" / "b2.json"
+    assert run_cli("generate", "boolean", "2", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
+# -- the JSON writer against json.dumps -------------------------------------------
+
+TEXT = st.text(st.sampled_from(list('[],"\x00\x01\n\\ :aé☃')) | st.characters(), max_size=5)
+LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+# Keys of one dict are drawn from one family, so that sort_keys can order them.
+KEYS = st.sampled_from([TEXT, st.integers() | st.floats() | st.booleans(), st.none()])
+ROWS = st.lists(st.lists(LEAVES, max_size=4) | st.tuples(LEAVES, LEAVES), max_size=5)
+
+
+def documents():
+    def nest(inner):
+        return (
+            st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
+            | KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4))
+        )
+    return st.recursive(LEAVES | ROWS, nest, max_leaves=25)
+
+
+def as_json_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents())
+def test_writer_matches_json_dumps(obj):
+    assert cli._dump(obj) == as_json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], {}, [[]], [[], [1]], [[1], []], {"a": [], "b": {}}, [["]\x00[", "a]"], ["\x00", "\n"]],
+        [[1, [2]], [3]], {1: "a", 2.5: [0.1, -0.0]}, {True: 1}, {False: [None]}, {None: True},
+        {float("nan"): float("nan")}, [float("inf"), -float("inf"), 1e300, 5e-324], (["é"], ("☃", 1)),
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_cases(obj):
+    assert cli._dump(obj) == as_json_dumps(obj)
+
+
+def test_writer_matches_json_dumps_on_audit_reports(suite_reports):
+    reports, _ = suite_reports
+    payload = [r.to_dict() for r in reports]
+    assert cli._dump(payload) == as_json_dumps(payload)
+
+
+def test_writer_raises_as_json_dumps_does():
+    for obj in ({(1,): 2}, {1: 1, "a": 2}, [1, object()]):
+        with pytest.raises(TypeError) as want:
+            as_json_dumps(obj)
+        with pytest.raises(TypeError) as got:
+            cli._dump(obj)
+        assert str(got.value) == str(want.value)
 
 
 def test_oversized_homology_inputs_are_refused_up_front(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The poset layer against `poset_oracle.py`, the code it replaced: the
-redundant-cover check, covers of derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
+file loader on valid and faulty files, the redundant-cover check, covers of
+derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
 meet, simplicial and cubical tests, and the toric polynomials, also on
 Python integers throughout.  Drawn instances are small; the `large` tier
 runs the cli-files inputs of 730 elements (`pytest -m large`).
@@ -13,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import poset_oracle as oracle
 from posetlab import hvectors, poset as poset_module
-from posetlab.errors import NotLocallyGradedError, NotLowerGradedError, PosetLabError, RedundantCoverError
+from posetlab.errors import (
+    NotLocallyGradedError,
+    NotLowerGradedError,
+    PosetLabError,
+    RedundantCoverError,
+    UnknownElementError,
+)
 from posetlab.generators import boolean_lattice, cube_face_lattice, make_family, suite
 from posetlab.hvectors import cubical_h, short_cubical_h, toric_face_polynomials, toric_h
 from posetlab.poset import (
@@ -25,6 +32,7 @@ from posetlab.poset import (
     is_simplicial_poset,
     mobius,
     mobius_from,
+    poset_from_dict,
     rank_profile,
 )
 
@@ -228,6 +236,124 @@ def test_redundant_cover_check_matches_oracle():
                 FinitePoset.from_covers(elements, covers)
             assert (err.value.lower, err.value.upper, err.value.witness) == want
     assert seen == {True, False}
+
+
+# -- the file loader ---------------------------------------------------------------
+
+
+FAULTS = [
+    "unknown-lower", "unknown-upper", "self-loop", "repeated-cover", "repeated-element",
+    "cycle", "redundant-cover", "short-cover", "long-cover", "non-string-cover-entry",
+    "non-string-element", "cover-not-a-list",
+]
+
+
+def poset_file(draw, P):
+    """P as a parsed poset file, its elements and covers in a drawn order."""
+    return {
+        "name": P.name,
+        "elements": draw(st.permutations(P.elements)),
+        "covers": [list(c) for c in draw(st.permutations(P.covers))],
+    }
+
+
+def add_fault(draw, data, P, fault):
+    """Put one fault of the named kind into `data`, at a drawn position."""
+    strict = [(a, b) for a in P.elements for b in P.elements if a != b and P.leq(a, b)]
+    # An element below others, where it can: a self-loop there also stalls
+    # the topological sort above it.
+    x = draw(st.sampled_from(sorted({a for a, _ in strict}) or P.elements))
+    longer = sorted(set(strict) - set(P.covers))
+    if fault in ("repeated-element", "non-string-element"):
+        entry = x if fault == "repeated-element" else 4711
+        data["elements"].insert(draw(st.integers(0, len(data["elements"]))), entry)
+        return
+    entry = {
+        "unknown-lower": ["ghost", x],
+        "unknown-upper": [x, "ghost"],
+        "self-loop": [x, x],
+        "repeated-cover": list(draw(st.sampled_from(P.covers))) if P.covers else [x, x],
+        "cycle": list(draw(st.sampled_from(strict)))[::-1] if strict else [x, x],
+        "redundant-cover": list(draw(st.sampled_from(longer))) if longer else [x, x],
+        "short-cover": [x],
+        "long-cover": list(draw(st.sampled_from(P.covers))) + [x] if P.covers else [x, x, x],
+        "non-string-cover-entry": [x, 4711],
+        "cover-not-a-list": x,
+    }[fault]
+    data["covers"].insert(draw(st.integers(0, len(data["covers"]))), entry)
+
+
+def any_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def check_loader(data):
+    """poset_from_dict, and from_covers on the raw lists (passed as one-shot
+    iterators), against the oracle's: the same poset and bitsets, or the same
+    error class and message."""
+    elements, covers = data["elements"], data["covers"]
+    runs = [
+        (any_outcome(FinitePoset.from_covers, iter(elements), iter(covers)),
+         any_outcome(oracle.from_covers, elements, covers)),
+        (any_outcome(poset_from_dict, data), any_outcome(oracle.from_dict, data)),
+    ]
+    for got, want in runs:
+        assert got[0] == want[0]
+        if got[0] != "value":
+            assert got == want
+            continue
+        same_poset(got[1], want[1])
+        assert got[1].name == want[1].name
+        assert got[1]._down_sets() == want[1]._down_sets()
+        assert got[1]._up_sets() == want[1]._up_sets()
+
+
+@EXAMPLES
+@given(st.data())
+def test_loader_matches_oracle_on_valid_files(data):
+    check_loader(poset_file(data.draw, data.draw(posets())))
+
+
+@EXAMPLES
+@given(st.data())
+def test_loader_matches_oracle_on_faulty_files(data):
+    """One to three faults in one file: the first in file order is named."""
+    P = data.draw(posets())
+    doc = poset_file(data.draw, P)
+    for fault in data.draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3)):
+        add_fault(data.draw, doc, P, fault)
+    check_loader(doc)
+
+
+@pytest.mark.parametrize("elements, covers", [
+    # x < top with x listed after top: the self-loop on x also stalls the
+    # topological sort at top, and x is the one to name.
+    (["top", "x"], [("x", "top"), ("x", "x")]),
+    # Covers of the wrong arity; flattened, the last list would read as the
+    # valid covers a < b, c < d.
+    (["a", "b", "c", "d"], [("a", "b"), ("b",), ("c", "d")]),
+    (["a", "b", "c", "d"], [("a", "b", "c"), ("c", "d")]),
+    (["a", "b", "c", "d"], [("a",), ("b", "c", "d")]),
+])
+def test_from_covers_matches_oracle_on_hand_picked_faults(elements, covers):
+    got = any_outcome(FinitePoset.from_covers, elements, covers)
+    assert got[0] != "value"
+    assert got == any_outcome(oracle.from_covers, elements, covers)
+
+
+def test_per_cover_loop_runs_only_on_faulty_covers(monkeypatch):
+    calls = []
+    loop = poset_module._checked_cover_indices
+    monkeypatch.setattr(poset_module, "_checked_cover_indices", lambda *args: calls.append(args) or loop(*args))
+    for _, P in suite():
+        poset_from_dict({"name": P.name, "elements": list(P.elements), "covers": [list(c) for c in P.covers]})
+    assert calls == []
+    with pytest.raises(UnknownElementError):
+        FinitePoset.from_covers(["a", "b"], [("a", "b"), ("b", "ghost")])
+    assert len(calls) == 1
 
 
 def test_is_graded_matches_oracle():
