@@ -124,12 +124,10 @@ class _InstanceData:
         self.meet = is_meet_semilattice(P)
         self.qualifies = self.lower_eulerian and self.cm and self.graded
 
-        hat = P.attach_max()
-        existing = set(P.elements)
-        top = next(e for e in hat.elements if e not in existing)
+        # mu(x, top) in P with a top attached is -(sum of mu(x, z) over z >= x).
         self.atoms = sorted(P.atoms())
-        self.atom_mu = {x: mobius_from(hat, x)[top] for x in self.atoms}
-        self.mu_bottom_top = mobius_from(hat, P.minimum())[top]
+        self.atom_mu = {x: -sum(mobius_from(P, x).values()) for x in self.atoms}
+        self.mu_bottom_top = reduced_euler_char(P)
         self.maximals = sorted(P.maximal_elements())
         self.alpha = {y: atoms_below(P, y) for y in self.maximals}
         self.alpha_min = min(self.alpha.values()) if self.alpha else 0

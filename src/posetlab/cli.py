@@ -2,6 +2,12 @@
 and audits.  Results go to stdout (or -o), diagnostics to stderr, so reports
 pipe cleanly.  Exit codes: 0 pass, 1 any check/audit failure, 2 usage or
 input error.
+
+The invariants of `compute` and the predicates of `check` are one table each,
+`INVARIANTS` and `PREDICATES`: a name maps to whether it takes poset files
+only and to the function of the instance and the field that gives its
+payload, or its (holds, witness) pair.  The tables also give the parser its
+choices; the parser is built once per process.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -180,12 +187,13 @@ def _bounded(instance, cells=False):
     return instance
 
 
-def _scan(instance, fld, cells=False):
+def _scan(instance, fld, links=True):
     """The link scan of a file's complex, after `_bounded`: the interval scan
-    of Δ(P − 0̂) for a poset, the chain-level scan for a facet file."""
-    if isinstance(_bounded(instance, cells), FinitePoset):
-        return poset_scan(instance, fld)
-    return LinkScan(instance, fld)
+    of Δ(P − 0̂) for a poset; for a facet file the chain-level scan, under the
+    cells bound too when its links are to be scanned."""
+    if isinstance(instance, FinitePoset):
+        return poset_scan(_bounded(instance), fld)
+    return LinkScan(_bounded(instance, cells=links), fld)
 
 
 def _field_from(args) -> FieldSpec:
@@ -226,103 +234,100 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_POSET_ONLY = "this invariant needs a poset input (a JSON file with covers)"
-_H_VECTORS = {
-    "simplicial-h": simplicial_h,
-    "toric-h": toric_h,
-    "cubical-h": cubical_h,
-    "short-cubical-h": short_cubical_h,
+class _HVector:
+    """The payload of an h-vector invariant, and its tsv form, which no other
+    invariant has."""
+
+    def __init__(self, vector):
+        self.vector = vector
+
+    def __call__(self, P, fld):
+        return self.vector(P).to_dict()
+
+    def tsv(self, P):
+        report = self.vector(P)
+        head = "kind\trank\t" + "\t".join(f"h{i}" for i in range(len(report.entries)))
+        row = f"{report.kind}\t{report.rank}\t" + "\t".join(map(str, report.entries))
+        return head + "\n" + row + "\n"
+
+
+def _mobius_values(P, fld):
+    return {"name": P.name, "values": [[x, y, v] for (x, y), v in mobius(P).items()]}
+
+
+def _chi(instance, fld):
+    if isinstance(instance, FinitePoset):
+        value = reduced_euler_char(instance)
+    else:
+        value = _bounded(instance).reduced_euler_char()
+    return {"name": instance.name, "chi": value}
+
+
+def _homology(instance, fld):
+    betti = _scan(instance, fld, links=False).betti()
+    betti = {str(k): v for k, v in sorted(betti.items())}
+    return {"name": instance.name, "field": fld.characteristic, "betti": betti}
+
+
+def _classify(instance, fld):
+    classes = _scan(instance, fld).classes()
+    flags = {name: flag for name, flag in vars(classes).items() if name != "witnesses"}
+    return {"name": instance.name, "field": fld.characteristic, **flags}
+
+
+# The invariants of `compute`, in the order `--help` lists them: name ->
+# (poset files only, payload of the instance and the field).
+INVARIANTS = {
+    "mobius": (True, _mobius_values),
+    "psi": (True, lambda P, fld: {"name": P.name, "psi": rank_alternating_sum(P)}),
+    "chi": (False, _chi),
+    "simplicial-h": (True, _HVector(simplicial_h)),
+    "toric-h": (True, _HVector(toric_h)),
+    "cubical-h": (True, _HVector(cubical_h)),
+    "short-cubical-h": (True, _HVector(short_cubical_h)),
+    "homology": (False, _homology),
+    "classify": (False, _classify),
+}
+
+
+def _lower_eulerian(P, fld):
+    verdict = is_lower_eulerian(P)
+    return verdict.ok, verdict.witness
+
+
+# The predicates of `check`, likewise: name -> (poset files only, the
+# (holds, witness) pair of the instance and the field).
+PREDICATES = {
+    "lower-eulerian": (True, _lower_eulerian),
+    "cm": (False, lambda instance, fld: _scan(instance, fld).cohen_macaulay()),
+    "buchsbaum-star": (False, lambda instance, fld: _scan(instance, fld).buchsbaum_star()),
+    "simplicial": (True, lambda P, fld: (is_simplicial_poset(P), None)),
+    "cubical": (True, lambda P, fld: (is_cubical_poset(P), None)),
+    "meet-semilattice": (True, lambda P, fld: (is_meet_semilattice(P), None)),
 }
 
 
 def cmd_compute(args) -> int:
-    if args.format == "tsv" and args.invariant not in _H_VECTORS:
+    poset_only, payload = INVARIANTS[args.invariant]
+    if args.format == "tsv" and not isinstance(payload, _HVector):
         raise UsageError("tsv output is only available for h-vector invariants")
     instance = _load_instance(args.input)
     fld = _field_from(args)
-    inv = args.invariant
-    is_poset = isinstance(instance, FinitePoset)
-
-    if inv == "mobius":
-        if not is_poset:
-            raise UsageError(_POSET_ONLY)
-        table = mobius(instance)
-        values = [[x, y, v] for (x, y), v in table.items()]
-        payload = {"name": instance.name, "values": values}
-    elif inv == "psi":
-        if not is_poset:
-            raise UsageError(_POSET_ONLY)
-        payload = {"name": instance.name, "psi": rank_alternating_sum(instance)}
-    elif inv == "chi":
-        value = reduced_euler_char(instance) if is_poset else _bounded(instance).reduced_euler_char()
-        payload = {"name": instance.name, "chi": value}
-    elif inv in _H_VECTORS:
-        if not is_poset:
-            raise UsageError(_POSET_ONLY)
-        report = _H_VECTORS[inv](instance)
-        if args.format == "tsv":
-            head = "kind\trank\t" + "\t".join(
-                f"h{i}" for i in range(len(report.entries))
-            )
-            row = f"{report.kind}\t{report.rank}\t" + "\t".join(
-                str(e) for e in report.entries
-            )
-            _emit(head + "\n" + row + "\n", args.output)
-            return 0
-        payload = report.to_dict()
-    elif inv == "homology":
-        betti = _scan(instance, fld).betti()
-        payload = {
-            "name": instance.name,
-            "field": fld.characteristic,
-            "betti": {str(k): v for k, v in sorted(betti.items())},
-        }
-    elif inv == "classify":
-        classes = _scan(instance, fld, cells=not is_poset).classes()
-        flags = {name: flag for name, flag in vars(classes).items() if name != "witnesses"}
-        payload = {"name": instance.name, "field": fld.characteristic, **flags}
-    else:
-        raise UsageError(f"unknown invariant: {inv}")
-    _emit(_dump(payload), args.output)
+    if poset_only and not isinstance(instance, FinitePoset):
+        raise UsageError("this invariant needs a poset input (a JSON file with covers)")
+    text = payload.tsv(instance) if args.format == "tsv" else _dump(payload(instance, fld))
+    _emit(text, args.output)
     return 0
 
 
 def cmd_check(args) -> int:
+    poset_only, predicate = PREDICATES[args.predicate]
     instance = _load_instance(args.input)
     fld = _field_from(args)
-    pred = args.predicate
-    is_poset = isinstance(instance, FinitePoset)
-    witness = None
-
-    if pred == "lower-eulerian":
-        if not is_poset:
-            raise UsageError("lower-eulerian applies to posets")
-        verdict = is_lower_eulerian(instance)
-        result = bool(verdict)
-        witness = verdict.witness if not result else None
-    elif pred in ("cm", "buchsbaum-star"):
-        scan = _scan(instance, fld, cells=not is_poset)
-        result, witness = scan.cohen_macaulay() if pred == "cm" else scan.buchsbaum_star()
-    elif pred == "simplicial":
-        if not is_poset:
-            raise UsageError("simplicial applies to posets")
-        result = is_simplicial_poset(instance)
-    elif pred == "cubical":
-        if not is_poset:
-            raise UsageError("cubical applies to posets")
-        result = is_cubical_poset(instance)
-    elif pred == "meet-semilattice":
-        if not is_poset:
-            raise UsageError("meet-semilattice applies to posets")
-        result = is_meet_semilattice(instance)
-    else:
-        raise UsageError(f"unknown predicate: {pred}")
-
-    payload = {
-        "name": instance.name,
-        "predicate": pred,
-        "result": bool(result),
-    }
+    if poset_only and not isinstance(instance, FinitePoset):
+        raise UsageError(f"{args.predicate} applies to posets")
+    result, witness = predicate(instance, fld)
+    payload = {"name": instance.name, "predicate": args.predicate, "result": bool(result)}
     if witness is not None:
         payload["witness"] = jsonable(witness)
     _emit(_dump(payload), args.output)
@@ -347,7 +352,9 @@ def cmd_audit(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="posetlab",
         description="Invariants and identity audits for finite posets.",
@@ -361,20 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(fn=cmd_generate)
 
     comp = sub.add_parser("compute", help="compute an invariant of a JSON instance")
-    comp.add_argument(
-        "invariant",
-        choices=[
-            "mobius",
-            "psi",
-            "chi",
-            "simplicial-h",
-            "toric-h",
-            "cubical-h",
-            "short-cubical-h",
-            "homology",
-            "classify",
-        ],
-    )
+    comp.add_argument("invariant", choices=list(INVARIANTS))
     comp.add_argument("input")
     comp.add_argument("--field", type=int)
     comp.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -382,17 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(fn=cmd_compute)
 
     chk = sub.add_parser("check", help="test a structural predicate")
-    chk.add_argument(
-        "predicate",
-        choices=[
-            "lower-eulerian",
-            "cm",
-            "buchsbaum-star",
-            "simplicial",
-            "cubical",
-            "meet-semilattice",
-        ],
-    )
+    chk.add_argument("predicate", choices=list(PREDICATES))
     chk.add_argument("input")
     chk.add_argument("--field", type=int)
     chk.add_argument("-o", "--output")
@@ -409,14 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PosetLabError as exc:
+    except (UsageError, PosetLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

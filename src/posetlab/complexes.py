@@ -58,14 +58,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_faces(cls, faces, name="complex"):
-        """Build from an arbitrary face collection by keeping the maximal ones."""
+        """Build from an arbitrary face collection by keeping the maximal ones.
+        A face that repeats a vertex is refused, maximal or not; the message
+        names the first such face in (length, vertices) order."""
         normed = sorted({_norm_face(f) for f in faces}, key=len, reverse=True)
         if not normed:
             raise EmptyComplexError("a complex must contain at least the empty face")
+        sets = [set(f) for f in normed]
+        repeats = [f for f, fs in zip(normed, sets) if len(fs) != len(f)]
+        if repeats:
+            raise PosetLabError(f"facet {min(repeats, key=lambda f: (len(f), f))!r} repeats a vertex")
         maximal = []
         kept = []
-        for f in normed:
-            fs = set(f)
+        for f, fs in zip(normed, sets):
             if any(fs <= k for k in kept):
                 continue
             kept.append(fs)

@@ -149,3 +149,8 @@ class SizeLimitError(PosetLabError):
     def __init__(self, what, limit):
         super().__init__(f"{what} exceeds the size guard ({limit})")
 
+
+
+class BelowRangeError(PosetLabError):
+    def __init__(self, what, value, low, high):
+        super().__init__(f"{what} {value} is below the allowed range {low}..{high}")

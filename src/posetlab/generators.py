@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex
-from .errors import SizeLimitError, UnsupportedKindError
+from .errors import BelowRangeError, SizeLimitError, UnsupportedKindError
 from .poset import FinitePoset
 
 _MASK64 = (1 << 64) - 1
@@ -41,14 +41,22 @@ class XorShift64Star:
         return self.next_word() >> 63
 
 
+def _check_range(what, value, low, high):
+    """Refuse `value` outside low..high: above it as over the size guard,
+    below it naming the range."""
+    if value > high:
+        raise SizeLimitError(what, high)
+    if value < low:
+        raise BelowRangeError(what, value, low, high)
+
+
 def _subset_id(subset):
     return "".join(str(i) for i in sorted(subset)) or "e"
 
 
 def boolean_lattice(n: int) -> FinitePoset:
     """Subsets of {1..n}; identifiers are digit strings, 'e' for the empty set."""
-    if not 0 <= n <= 6:
-        raise SizeLimitError("Boolean lattice order", 6)
+    _check_range("Boolean lattice order", n, 0, 6)
     subsets = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
     elements = [_subset_id(s) for s in subsets]
     covers = []
@@ -69,8 +77,7 @@ def cube_face_lattice(n: int) -> FinitePoset:
     The empty face is the minimum; the all-x word (the cube itself) is the
     maximum, so the lattice has 3^n + 1 elements and rank n + 1.
     """
-    if not 0 <= n <= 6:
-        raise SizeLimitError("cube dimension", 6)
+    _check_range("cube dimension", n, 0, 6)
     words = [""]
     for _ in range(n):
         words = [w + c for w in words for c in "01x"]
@@ -112,8 +119,7 @@ def face_poset_of_complex(delta: SimplicialComplex, name=None) -> FinitePoset:
 
 def simplex_boundary_complex(n: int) -> SimplicialComplex:
     """Boundary of the n-simplex on vertices s0..sn."""
-    if not 1 <= n <= 6:
-        raise SizeLimitError("simplex dimension", 6)
+    _check_range("simplex dimension", n, 1, 6)
     verts = [f"s{i}" for i in range(n + 1)]
     return SimplicialComplex(
         list(combinations(verts, n)), name=f"simplex-boundary-{n}"
@@ -121,8 +127,7 @@ def simplex_boundary_complex(n: int) -> SimplicialComplex:
 
 
 def full_simplex_complex(n: int) -> SimplicialComplex:
-    if not 0 <= n <= 6:
-        raise SizeLimitError("simplex dimension", 6)
+    _check_range("simplex dimension", n, 0, 6)
     verts = [f"s{i}" for i in range(n + 1)]
     return SimplicialComplex([tuple(verts)], name=f"simplex-{n}")
 
@@ -131,8 +136,7 @@ def cubical_complex_poset(kind: str, *params) -> FinitePoset:
     """Cubical face posets: 'cube-boundary n', 'grid a b', 'cycle n'."""
     if kind == "cube-boundary":
         (n,) = params
-        if not 1 <= n <= 6:
-            raise SizeLimitError("cube dimension", 6)
+        _check_range("cube dimension", n, 1, 6)
         lattice = cube_face_lattice(n)
         top = lattice.maximal_elements()[0]
         proper = [e for e in lattice.elements if e != top]
@@ -140,13 +144,12 @@ def cubical_complex_poset(kind: str, *params) -> FinitePoset:
         return poset
     if kind == "grid":
         a, b = params
-        if not (1 <= a <= 4 and 1 <= b <= 4):
-            raise SizeLimitError("grid side", 4)
+        _check_range("grid side", a, 1, 4)
+        _check_range("grid side", b, 1, 4)
         return _grid_poset(a, b)
     if kind == "cycle":
         (n,) = params
-        if not 3 <= n <= 64:
-            raise SizeLimitError("cycle length", 64)
+        _check_range("cycle length", n, 3, 64)
         return _cycle_poset(n)
     raise UnsupportedKindError(kind)
 
@@ -211,8 +214,7 @@ def simplicial_poset_glue(kind: str, n: int) -> FinitePoset:
     """
     if kind != "two-facets-shared-boundary":
         raise UnsupportedKindError(kind)
-    if not 1 <= n <= 5:
-        raise SizeLimitError("glued simplex dimension", 5)
+    _check_range("glued simplex dimension", n, 1, 5)
     verts = [f"g{i}" for i in range(n + 1)]
     proper = [c for k in range(n + 1) for c in combinations(verts, k)]
     elements = [_face_id(f) for f in proper] + ["A", "B"]
@@ -233,8 +235,7 @@ def random_pure_subcomplex(n: int, d: int, seed: int) -> SimplicialComplex:
     Candidate facets are scanned in lexicographic order and kept on a PRNG
     bit; an empty draw falls back to the first candidate.
     """
-    if not 1 <= n <= 8:
-        raise SizeLimitError("vertex count", 8)
+    _check_range("vertex count", n, 1, 8)
     if not 0 <= d < n:
         raise UnsupportedKindError(f"dimension {d} with {n} vertices")
     verts = [f"r{i}" for i in range(n)]
@@ -247,16 +248,14 @@ def random_pure_subcomplex(n: int, d: int, seed: int) -> SimplicialComplex:
 
 def path_complex(k: int) -> SimplicialComplex:
     """A path of k edges."""
-    if not 1 <= k <= 32:
-        raise SizeLimitError("path length", 32)
+    _check_range("path length", k, 1, 32)
     return SimplicialComplex(
         [(f"p{i}", f"p{i+1}") for i in range(k)], name=f"path-{k}"
     )
 
 
 def points_complex(k: int) -> SimplicialComplex:
-    if not 1 <= k <= 64:
-        raise SizeLimitError("point count", 64)
+    _check_range("point count", k, 1, 64)
     return SimplicialComplex([(f"p{i}",) for i in range(k)], name=f"points-{k}")
 
 

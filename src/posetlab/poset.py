@@ -593,26 +593,13 @@ _INT64_GUARD = 2**62
 _GATHER_ROWS = 128
 
 
-def _mobius_row_exact(P, i):
-    # Arbitrary-precision rerun for the rare huge-value poset.
-    n = len(P)
-    leq = P.leq_matrix
-    mu = [0] * n
-    mu[i] = 1
-    up = leq[i]
-    for j in P._topo:
-        if j == i or not up[j]:
-            continue
-        below = up & leq[:, j]
-        below[j] = False
-        mu[j] = -sum(mu[z] for z in np.flatnonzero(below))
-    return np.array(mu, dtype=object)
-
-
 def mobius(P: FinitePoset) -> MobiusTable:
     """The full Möbius table, one column at a time in topological order:
     mu(., j) = -sum of mu(., z) over z < j, which is 0 outside the down-set
-    of j and gives mu(i, j) for every i < j at once."""
+    of j and gives mu(i, j) for every i < j at once.  The table is int64
+    until a column passes the guard, and Python ints (dtype=object) from
+    that column on: every earlier column is under the guard, so the column
+    that passes it has not overflowed."""
     cached = P._cache.get("mobius")  # the values, as for rank_profile
     if cached is not None:
         return MobiusTable(P, cached)
@@ -627,12 +614,10 @@ def mobius(P: FinitePoset) -> MobiusTable:
         # Gathered a block of rows at a time, to bound the temporary.
         for start in range(0, below.size, _GATHER_ROWS):
             col -= cols[below[start : start + _GATHER_ROWS]].sum(axis=0)
-        if below.size and np.abs(col).max() > guard:
-            values = np.array([_mobius_row_exact(P, i) for i in range(n)], dtype=object)
-            break
-        col[j] = 1
-    else:
-        values = cols.T
+        if cols.dtype != object and below.size and np.abs(col).max() > guard:
+            cols = cols.astype(object)
+        cols[j, j] = 1
+    values = cols.T
     P._cache["mobius"] = values
     return MobiusTable(P, values)
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,44 @@ def test_usage_errors(tmp_path, capsys):
     assert run_cli("compute", "toric-h", str(complexfile)) == 2
 
 
+POSET_ONLY_INVARIANTS = ("mobius", "psi", "simplicial-h", "toric-h", "cubical-h", "short-cubical-h")
+POSET_ONLY_PREDICATES = ("lower-eulerian", "simplicial", "cubical", "meet-semilattice")
+
+
+def test_poset_only_commands_refuse_a_facet_file(tmp_path, capsys):
+    f = tmp_path / "edge.json"
+    f.write_text(json.dumps({"name": "edge", "facets": [["a", "b"]]}))
+    assert {k for k, (poset_only, _) in cli.INVARIANTS.items() if poset_only} == set(POSET_ONLY_INVARIANTS)
+    assert {k for k, (poset_only, _) in cli.PREDICATES.items() if poset_only} == set(POSET_ONLY_PREDICATES)
+    for inv in POSET_ONLY_INVARIANTS:
+        assert run_cli("compute", inv, str(f)) == 2, inv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: this invariant needs a poset input (a JSON file with covers)\n"
+    for pred in POSET_ONLY_PREDICATES:
+        assert run_cli("check", pred, str(f)) == 2, pred
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {pred} applies to posets\n")
+
+
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    cli.build_parser.cache_clear()
+    try:
+        assert run_cli("generate", "boolean", "1") == 0
+        assert run_cli("generate", "boolean", "2") == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("posetlab") == 1
+
+
 def test_field_env_override(tmp_path, capsys, monkeypatch):
     f = tmp_path / "c4.json"
     run_cli("generate", "cycle", "4", "-o", str(f))
@@ -195,6 +235,22 @@ def test_audit_rejects_unknown_suite():
 def test_generate_rejects_oversized_family(capsys):
     assert run_cli("generate", "boolean", "9") == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("cycle", "2"), "cycle length 2 is below the allowed range 3..64"),
+        (("grid", "0", "2"), "grid side 0 is below the allowed range 1..4"),
+        (("random", "0", "0", "1"), "vertex count 0 is below the allowed range 1..8"),
+        (("boolean", "-1"), "Boolean lattice order -1 is below the allowed range 0..6"),
+        (("cycle", "65"), "cycle length exceeds the size guard (64)"),
+        (("grid", "2", "5"), "grid side exceeds the size guard (4)"),
+    ],
+)
+def test_generate_names_the_range_of_a_small_value(capsys, params, message):
+    assert run_cli("generate", *params) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_generate_rejects_wrong_parameter_counts(capsys):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import posetlab
 from conftest import brute_force_chains
 from dense_oracle import open_interval_complex
 from posetlab.complexes import (
@@ -52,6 +57,28 @@ def test_non_maximal_facet_rejected():
 def test_from_faces_keeps_maximal():
     c = SimplicialComplex.from_faces([(), ("a",), ("a", "b"), ("b",)])
     assert c.facets == (("a", "b"),)
+
+
+# Each line: the error of `from_faces` or the facets it keeps.
+_REPEATS = """
+from posetlab.complexes import SimplicialComplex
+for faces in ([("a", "b"), ("a", "a")], [("a", "b", "c"), ("c", "d", "c"), ("b", "b")]):
+    try:
+        print(SimplicialComplex.from_faces(faces).facets)
+    except Exception as exc:
+        print(exc)
+"""
+
+
+def test_from_faces_refuses_a_repeated_vertex_under_every_hash_seed():
+    """A non-maximal face that repeats a vertex is refused whatever the set
+    iteration order; the message names the first such face by (length,
+    vertices)."""
+    src = os.path.dirname(os.path.dirname(posetlab.__file__))
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _REPEATS], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "facet ('a', 'a') repeats a vertex\nfacet ('b', 'b') repeats a vertex\n", seed
 
 
 def test_facets_deduplicated_and_sorted():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_reduced_euler
-from poset_oracle import posets_isomorphic
+from poset_oracle import mobius_row, posets_isomorphic
 from posetlab.complexes import order_complex
 from posetlab.errors import (
     CycleDetectedError,
@@ -451,20 +451,30 @@ def test_interval_poset_label_fallback():
 
 def test_exact_mobius_row_matches_fast_path(monkeypatch):
     from posetlab import poset as poset_module
-    from posetlab.poset import _mobius_row_exact
 
     P = cube_face_lattice(2)
     table = mobius(P)._values
     assert table.dtype == np.int64
     for i in range(len(P)):
-        assert list(table[i]) == list(_mobius_row_exact(P, i))
-    # A guard of 0 sends every table through the exact fallback.
+        assert table[i].tolist() == mobius_row(P, i)
+    # A guard of 0 switches the table to Python ints at the first column of
+    # an element that is not minimal.
     monkeypatch.setattr(poset_module, "_INT64_GUARD", 0)
     fresh = cube_face_lattice(2)
     exact = mobius(fresh)._values
     assert exact.dtype == object
     assert exact.tolist() == table.tolist()
     assert is_lower_eulerian(fresh)
+    # Here mu(0, m) = 3 passes a guard of 2 halfway up, and the column of t
+    # above it is summed in Python ints.
+    atoms = ["a1", "a2", "a3", "a4"]
+    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms] + [("m", "t")]
+    P = build_from_covers(["0", *atoms, "m", "t"], covers)
+    monkeypatch.setattr(poset_module, "_INT64_GUARD", 2 * len(P))
+    exact = mobius(P)._values
+    assert exact.dtype == object
+    assert [exact[i].tolist() for i in range(len(P))] == [mobius_row(P, i) for i in range(len(P))]
+    assert mobius(P).mu("0", "m") == 3
 
 
 def test_strict_upset():
