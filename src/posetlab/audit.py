@@ -630,8 +630,7 @@ def check_truncation_structure(data: _InstanceData):
         recs.append(_na(ids[3][0], ids[3][1], "hypotheses failed"))
 
     # P is graded of rank >= 2: its atoms are the minimal vertices of Δ(Q̄).
-    tops = {f: top for f, _, top in data.qbar.records if len(f) == 1}
-    maps = ((x, data.qbar.top_rank((x,)), tops[(x,)]) for x in data.atoms)
+    maps = ((x, data.qbar.top_rank((x,)), data.qbar.link_top((x,))) for x in data.atoms)
     surj_wit = next((m for m in maps if m[1] != m[2]), None)
     recs.append(
         CheckRecord(

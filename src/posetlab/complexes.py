@@ -64,16 +64,22 @@ class SimplicialComplex:
         normed = sorted({_norm_face(f) for f in faces}, key=len, reverse=True)
         if not normed:
             raise EmptyComplexError("a complex must contain at least the empty face")
-        sets = [set(f) for f in normed]
-        repeats = [f for f, fs in zip(normed, sets) if len(fs) != len(f)]
+        repeats = [f for f in normed if len(set(f)) != len(f)]
         if repeats:
             raise PosetLabError(f"facet {min(repeats, key=lambda f: (len(f), f))!r} repeats a vertex")
+        # holders[v]: bit j set when the j-th kept face holds v.  A candidate
+        # lies in a kept face when the AND of its vertices' bitsets is not 0.
         maximal = []
-        kept = []
-        for f, fs in zip(normed, sets):
-            if any(fs <= k for k in kept):
+        holders = {}
+        for f in normed:
+            inside = -1 if maximal else 0
+            for v in f:
+                inside &= holders.get(v, 0)
+            if inside:
                 continue
-            kept.append(fs)
+            bit = 1 << len(maximal)
+            for v in f:
+                holders[v] = holders.get(v, 0) | bit
             maximal.append(f)
         return cls(maximal, name=name, _checked=True)
 
@@ -225,7 +231,9 @@ def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
 
 def order_complex(Q: FinitePoset, name=None) -> SimplicialComplex:
     """The complex of chains of Q; facets are the maximal chains."""
-    parents = {x: Q.cover_parents(x) for x in Q.elements}
+    parents = {x: [] for x in Q.elements}
+    for a, b in Q.covers:
+        parents[a].append(b)
     chains = []
     stack = [[x] for x in Q.minimal_elements()]
     while stack:

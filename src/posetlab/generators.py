@@ -236,8 +236,7 @@ def random_pure_subcomplex(n: int, d: int, seed: int) -> SimplicialComplex:
     bit; an empty draw falls back to the first candidate.
     """
     _check_range("vertex count", n, 1, 8)
-    if not 0 <= d < n:
-        raise UnsupportedKindError(f"dimension {d} with {n} vertices")
+    _check_range("dimension", d, 0, n - 1)
     verts = [f"r{i}" for i in range(n)]
     rng = XorShift64Star(seed)
     chosen = [f for f in combinations(verts, d + 1) if rng.next_bit()]

@@ -51,6 +51,29 @@ X with a new bottom 0̂ and top 1̂:
   lk v = Δ(I ∩ (·, v)) * Δ(I ∩ (v, ·)), and Δ - v = lk v when v is
   comparable with all of I.  So doubly CM builds no Δ(I - v).
 
+Most verdicts need no face at all; the face loops run only to find the
+witness of a verdict that fails:
+
+- Pairs decide CM: Δ(X) is CM iff every open interval of X̂ has reduced
+  homology only in its top degree (Björner-Garsia-Stanley 1982).  A link's
+  factors are the intervals S ∩ (a, b), a < b within one segment of
+  0̂ < B < 1̂ (B the scan's fixed chain), and each such interval is, up to
+  void factors, the link of a face; a join of complexes with homology only
+  on top has homology only on top.  So one memoised vector per comparable
+  pair decides CM, and CM implies Buchsbaum, since a CM complex is pure.
+  The top coefficient of a join is the product of the factors' top
+  coefficients, so the records are then (face, None, product of tops), and
+  Δ(X) is Gorenstein* iff every such interval also has top Betti number 1.
+- Gorenstein* complexes are doubly CM (Baclawski 1980; Stanley,
+  *Combinatorics and Commutative Algebra*, ch. III): for a homology sphere
+  Δ, Mayer-Vietoris with star(v) makes Δ - v acyclic, and each of its
+  links is a sphere or a sphere minus a vertex.  Doubly CM reads no vertex
+  deletion then.
+- Small intervals are graphs: an order complex of dimension at most 1 is
+  a graph with V vertices, E edges (comparable pairs) and c components,
+  with reduced Betti vector (0, c - 1, E - V + c), or (0, n - 1) for an
+  antichain of n points, over every field.  No chain complex is built.
+
 A scan also gives its complex's reduced Betti numbers (`betti`) and the five
 flags of `classify` (`classes`).  `poset_scan(P)`, the scan of Δ(P − 0̂), is
 the only one the CLI reads for a poset file; facet files take `LinkScan`.
@@ -457,9 +480,41 @@ class IntervalBetti:
     def _vector(self, members):
         got = self._memo.get(members)
         if got is None:
-            ccr = self._complex(members)
-            got = self._memo[members] = tuple(ccr.betti(k) for k in range(-1, len(ccr.faces) - 1))
+            got = self._graph_vector(members)
+            if got is None:
+                ccr = self._complex(members)
+                got = tuple(ccr.betti(k) for k in range(-1, len(ccr.faces) - 1))
+            self._memo[members] = got
         return got
+
+    def _graph_vector(self, members):
+        """The vector of a nonempty Δ(members) of dimension at most 1, read
+        off the bitsets, or None when it has a chain of three elements: an
+        antichain of n points gives (0, n − 1), a graph with V vertices, E
+        edges and c components (0, c − 1, E − V + c).  The test for a chain
+        of three reads the full up- and down-sets within `members`."""
+        above, below = self.above, self.below
+        edges = 0
+        for x in _bits(members):
+            up = above[x] & members
+            if up:
+                if below[x] & members:
+                    return None
+                edges += up.bit_count()
+        n = members.bit_count()
+        if not edges:
+            return (0, n - 1)
+        components, rest = 0, members
+        while rest:
+            components += 1
+            frontier = rest & -rest
+            while frontier:
+                rest &= ~frontier
+                reach = 0
+                for x in _bits(frontier):
+                    reach |= above[x] | below[x]
+                frontier = reach & rest
+        return (0, components - 1, edges - n + components)
 
     def _deleted_vector(self, members, v):
         """The vector of members − v, for an element index v in `members`
@@ -543,23 +598,96 @@ class OrderComplexScan(LinkScan):
             lower = self.ground & iv.above[x]
         yield lower
 
+    def _chain(self, face):
+        """A face with the fixed chain B, as element indices going up."""
+        iv = self.intervals
+        return sorted([*map(iv.P.index, face), *self.base], key=iv.position.__getitem__)
+
     def _link_vector(self, face, drop=None):
         """Reduced Betti vector of the link of a face, as a join of
         intervals; the element index `drop` is deleted from the one that
         holds it, which must be Cohen-Macaulay (see `doubly_cm`)."""
         iv = self.intervals
-        chain = sorted([*map(iv.P.index, face), *self.base], key=iv.position.__getitem__)
         vector = (1,)
-        for members in self._intervals(chain):
+        for members in self._intervals(self._chain(face)):
             if drop is not None and members >> drop & 1:
                 vector = _join_vector(vector, iv._deleted_vector(members, drop))
             else:
                 vector = _join_vector(vector, iv._vector(members))
         return vector
 
+    def link_top(self, face):
+        """The top Betti number of the link of a face: the product of the
+        top Betti numbers of its intervals (Künneth)."""
+        vectors = self.intervals._vector
+        top = 1
+        for members in self._intervals(self._chain(face)):
+            top *= vectors(members)[-1]
+        return top
+
+    @cached_property
+    def _interval_tops(self):
+        """The set of top Betti numbers of the intervals S ∩ (a, b) over
+        a < b in one segment of 0̂ < B < 1̂, B the fixed chain, when each of
+        them has homology only in its top degree; None otherwise.  These are
+        all the intervals that links of Δ(V) are joins of, and each is, up to
+        void factors, the link of a face, so Δ(V) is Cohen-Macaulay exactly
+        when this is not None, and Gorenstein* exactly when it is {1}."""
+        iv = self.intervals
+        bounds = [None, *sorted(self.base, key=iv.position.__getitem__), None]
+        seen = set()
+        for lo, hi in zip(bounds, bounds[1:]):
+            segment = self.ground
+            if lo is not None:
+                segment &= iv.above[lo]
+            if hi is not None:
+                segment &= iv.below[hi]
+            for low in [segment, *(segment & iv.above[a] for a in _bits(segment))]:
+                seen.add(low)
+                seen.update(low & iv.below[b] for b in _bits(low))
+        tops = set()
+        for members in sorted(seen, key=int.bit_count):
+            vector = iv._vector(members)
+            if any(vector[:-1]):
+                return None
+            tops.add(vector[-1])
+        return tops
+
     @cached_property
     def records(self):
-        return [(f, *_bad_top(self._link_vector(f))) for f in self.delta.faces()]
+        """As `LinkScan.records`.  Past the pair test of `_interval_tops`
+        every link has homology only in its top degree, and its top Betti
+        number is `link_top`; no join is formed."""
+        if self._interval_tops is None:
+            return [(f, *_bad_top(self._link_vector(f))) for f in self.delta.faces()]
+        return [(f, None, self.link_top(f)) for f in self.delta.faces()]
+
+    def cohen_macaulay(self):
+        """As `LinkScan.cohen_macaulay`; the face loop runs only when the
+        pair test fails, to find the witness."""
+        if self._interval_tops is not None:
+            return True, None
+        return super().cohen_macaulay()
+
+    def buchsbaum(self):
+        """As `LinkScan.buchsbaum`: a Cohen-Macaulay complex is pure, so the
+        pair test decides it when it passes."""
+        if self._interval_tops is not None:
+            return True, None
+        return super().buchsbaum()
+
+    def _sphere(self):
+        """Whether the pair test finds Δ(V) Gorenstein*: every interval's
+        homology is on top and its top Betti number is 1."""
+        tops = self._interval_tops
+        return tops is not None and tops <= {1}
+
+    def gorenstein_star(self):
+        """As `LinkScan.gorenstein_star`; the pair test decides it when it
+        passes (`_sphere`)."""
+        if self._sphere():
+            return True, None
+        return super().gorenstein_star()
 
     def betti(self):
         """As `LinkScan.betti`: the link of the empty face is Δ(V)."""
@@ -590,9 +718,10 @@ class OrderComplexScan(LinkScan):
         of σ with v deleted from the one that holds it, (a, b) with a and b
         consecutive around v in 0̂ < σ ∪ B < 1̂.
 
-        Past `cohen_macaulay()`, every interval of a link is itself the link
-        of a face of Δ(V) (join it with maximal chains of the other
-        intervals), so it is Cohen-Macaulay, and the vector of (a, b) − v
+        A Gorenstein* complex passes at once (module docstring).  Past
+        `cohen_macaulay()`, every interval of a link is itself the link of a
+        face of Δ(V) (join it with maximal chains of the other intervals),
+        so it is Cohen-Macaulay, and the vector of (a, b) − v
         comes from the long exact sequence (`IntervalBetti._deletions`).
         That rule holds only there: the scans of one memo share these
         entries, and each is the true vector of its member set.  The
@@ -600,14 +729,18 @@ class OrderComplexScan(LinkScan):
         entry of lk_{Δ-v}(σ) below its top is β̃_{e−1}((a, b) − v) times
         their tops.  A vertex for which that number is 0 on every such
         (a, b) passes without its face loop; otherwise the loop runs in
-        face order, so the witness is the chain-level scan's."""
+        face order, so the witness is the chain-level scan's.  Vertices go
+        in name order, the order of `delta.vertices`, without building Δ."""
         ok, wit = self.cohen_macaulay()
         if not ok:
             return False, wit
+        if self._sphere():
+            return True, None
         iv = self.intervals
+        names = iv.P.elements
         with_vertex = None
-        for v in self.delta.vertices:
-            i = iv.P.index(v)
+        for i in sorted(_bits(self.vertex_set), key=names.__getitem__):
+            v = names[i]
             # v lies in every facet when it is comparable with every vertex.
             if not self.vertex_set & ~(iv.above[i] | iv.below[i] | 1 << i):
                 return False, (v, "dimension drops")

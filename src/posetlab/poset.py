@@ -228,9 +228,6 @@ class FinitePoset:
         m = self.minimum()
         return tuple(b for a, b in self._covers if a == m)
 
-    def cover_parents(self, x):
-        return tuple(b for a, b in self._covers if a == x)
-
     # -- derived posets ----------------------------------------------------
 
     def induced(self, members, name=None):
@@ -277,17 +274,6 @@ class FinitePoset:
         while e in self._index:
             e += "'"
         return e
-
-    def attach_max(self, label="1^"):
-        """Adjoin a new maximum element above everything."""
-        n = len(self)
-        top = self._fresh_id(label)
-        leq = np.zeros((n + 1, n + 1), dtype=bool)
-        leq[:n, :n] = self._leq
-        leq[:, n] = True
-        return FinitePoset._from_leq(
-            list(self._elements) + [top], leq, name=f"{self.name}+max"
-        )
 
     def attach_min(self, label="0^"):
         """Adjoin a new minimum element below everything."""

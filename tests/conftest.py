@@ -57,6 +57,12 @@ def rp2():
     return SimplicialComplex([[f"v{i}" for i in f] for f in facets], name="rp2")
 
 
+def torus7():
+    """The 7-vertex torus (Möbius, Császár): Buchsbaum, not CM over any field."""
+    facets = [[f"t{(i + k) % 7}" for k in ks] for i in range(7) for ks in ((0, 1, 3), (0, 2, 3))]
+    return SimplicialComplex(facets, name="torus")
+
+
 def drawn_poset(seed):
     """An induced subposet of the Boolean lattice of rank 4 under a new
     minimum: often ungraded, not Cohen-Macaulay, or not doubly so."""

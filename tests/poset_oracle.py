@@ -6,7 +6,8 @@ time, the meet test on every pair, Boolean intervals by atom supports, cube
 intervals by isomorphism with a template cube lattice (the isomorphism
 test is here too), the toric recursion one pair at a time, and gradedness
 by its own chain-length program.  Kept as the reference the fast paths are
-checked against; small inputs, except in the `large` tier.
+checked against; small inputs, except in the `large` tier.  `attach_max`
+lives here because only tests adjoin a maximum.
 """
 
 from itertools import combinations
@@ -140,6 +141,16 @@ def from_leq(elements, leq, name="poset"):
         children[j].append(int(i))
     topo = _toposort(n, parents, children, elements)
     return FinitePoset(elements, leq.copy(), covers, topo, name=name)
+
+
+def attach_max(P, label="1^"):
+    """P with a new maximum element above everything; the audit reads
+    μ(x, 1̂) off P's own Möbius table instead."""
+    n = len(P)
+    leq = np.zeros((n + 1, n + 1), dtype=bool)
+    leq[:n, :n] = P.leq_matrix
+    leq[:, n] = True
+    return FinitePoset._from_leq(list(P.elements) + [P._fresh_id(label)], leq, name=f"{P.name}+max")
 
 
 def rank_matrix(P):

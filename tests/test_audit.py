@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -12,6 +14,7 @@ from posetlab.audit import (
     run_suite,
     select_basis,
 )
+from posetlab.cli import main
 from posetlab.complexes import order_complex
 from posetlab.generators import (
     boolean_lattice,
@@ -192,3 +195,18 @@ def test_audit_holds_in_small_characteristics(p):
     ):
         report = audit_poset(P, fld)
         assert report.passed, (P.name, p, [c.check_id for c in report.failures()])
+
+
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "audit_pins.json")
+
+
+@pytest.mark.parametrize("p", ["2", "3", "101"])
+def test_audit_all_bytes_match_the_pins(p, capsys):
+    """`posetlab audit all --field p` gives the exit code and the sha256 of
+    the stdout and stderr bytes pinned in audit_pins.json."""
+    with open(PINS) as fh:
+        pinned = json.load(fh)[p]
+    code = main(["audit", "all", "--field", p])
+    out, err = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest(out), digest(err)) == (pinned["exit"], pinned["stdout"], pinned["stderr"])

@@ -5,7 +5,11 @@ order complex from interval Betti numbers is checked against the
 chain-level scan the same way, on a fixed sample of posets, and the vertex
 deletions it reads off the long exact sequence against direct reductions.
 The vertex top ranks the audit reads off a scan's top cycle basis are
-checked against the dense vertex link map of `dense_oracle.py`.
+checked against the dense vertex link map of `dense_oracle.py`.  The pair
+test that decides the order-complex scan's CM, Buchsbaum and Gorenstein*
+verdicts, its records by interval tops, the Gorenstein* shortcut of doubly
+CM and the graph vectors of small intervals are each checked against the
+chain-level scan or a chain complex.
 """
 
 import random
@@ -15,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import classifier_oracle as oracle
 import dense_oracle
-from conftest import drawn_poset, rp2
+from conftest import drawn_poset, rp2, torus7
 from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
 from posetlab.errors import FaceNotInComplexError
 from posetlab.generators import (
@@ -128,6 +132,20 @@ def chain_level(P, members, fld):
     return LinkScan(delta, fld)
 
 
+def scan_pairs(P, fld):
+    """(order-complex scan, chain-level scan) of Δ(P̄) and Δ(Q̄), P̄ = P
+    minus its minimum and Q̄ = P̄ minus its maximal elements, and of the link
+    of every vertex of each: the link scans have a nonempty fixed chain."""
+    intervals = IntervalBetti(P, fld)
+    pbar = [x for x in P.elements if x != P.minimum()]
+    qbar = [x for x in pbar if x not in P.maximal_elements()]
+    for members in (pbar, qbar):
+        fast, slow = intervals.scan(members), chain_level(P, members, fld)
+        yield fast, slow
+        for v in members:
+            yield fast.vertex_link(v), slow.vertex_link(v)
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_order_complex_scan_matches_chain_level_scan(p):
     """Δ(P̄) and Δ(P̄ minus its maximal elements), from one memo, and the
@@ -135,24 +153,18 @@ def test_order_complex_scan_matches_chain_level_scan(p):
     fld = FieldSpec(p)
     seen = set()
     for P in poset_samples():
-        intervals = IntervalBetti(P, fld)
-        pbar = [x for x in P.elements if x != P.minimum()]
-        qbar = [x for x in pbar if x not in P.maximal_elements()]
-        for members in (pbar, qbar):
-            fast, slow = intervals.scan(members), chain_level(P, members, fld)
-            pairs = [(fast, slow)] + [(fast.vertex_link(v), slow.vertex_link(v)) for v in members]
-            for got, want in pairs:
-                assert got.delta == want.delta, P.name
-                assert got.records == want.records, P.name
-                assert got.betti() == want.betti(), P.name
-                for name in CLASSIFIERS:
-                    flag, wit = getattr(got, name)()
-                    assert (flag, wit) == getattr(want, name)(), (P.name, name)
-                    if not flag:
-                        seen.add(name)
-                ok, wit = got.doubly_cm()
-                if not ok and got.cohen_macaulay()[0] and isinstance(wit[1], tuple):
-                    seen.add("doubly CM fails at a face")
+        for got, want in scan_pairs(P, fld):
+            assert got.delta == want.delta, P.name
+            assert got.records == want.records, P.name
+            assert got.betti() == want.betti(), P.name
+            for name in CLASSIFIERS:
+                flag, wit = getattr(got, name)()
+                assert (flag, wit) == getattr(want, name)(), (P.name, name)
+                if not flag:
+                    seen.add(name)
+            ok, wit = got.doubly_cm()
+            if not ok and got.cohen_macaulay()[0] and isinstance(wit[1], tuple):
+                seen.add("doubly CM fails at a face")
     assert seen == {*CLASSIFIERS, "doubly CM fails at a face"}
 
 
@@ -192,6 +204,113 @@ def test_deletions_from_cm_intervals_match_direct_reductions(p):
                 if any(want[:-1]):
                     seen.add("homology below the top")
     assert seen == {"cone", "top cycles reach v", "homology below the top"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_pair_test_decides_cm_and_gorenstein_star(p):
+    """The pair test passes exactly when the chain-level scan finds Δ
+    Cohen-Macaulay, its tops are all 1 exactly when Δ is Gorenstein*, and
+    the CM, Buchsbaum and Gorenstein* verdicts and witnesses are the
+    chain-level ones on both sides of it.  The records and the per-face
+    tops the audit reads are the chain-level ones either way."""
+    fld = FieldSpec(p)
+    seen = set()
+    for P in poset_samples():
+        for fast, slow in scan_pairs(P, fld):
+            tops = fast._interval_tops
+            cm, gorenstein = slow.cohen_macaulay()[0], slow.gorenstein_star()[0]
+            assert (tops is not None) == cm, P.name
+            assert (tops is not None and tops <= {1}) == gorenstein, P.name
+            for name in ("cohen_macaulay", "buchsbaum", "gorenstein_star"):
+                assert getattr(fast, name)() == getattr(slow, name)(), (P.name, name)
+            assert fast.records == slow.records, P.name
+            assert [fast.link_top(f) for f, _, _ in slow.records] == [top for *_, top in slow.records]
+            seen.add(("passes" if cm else "fails", "Gorenstein*" if gorenstein else "not Gorenstein*", bool(fast.base)))
+            if slow.buchsbaum()[0] and not cm:
+                seen.add("Buchsbaum, not CM")
+            if not slow.delta.is_pure():
+                seen.add("not pure")
+    verdicts = {(cm, gor) for cm in ("passes", "fails") for gor in ("Gorenstein*", "not Gorenstein*")}
+    verdicts.discard(("fails", "Gorenstein*"))
+    near_misses = {"Buchsbaum, not CM", "not pure"}
+    assert seen == {(*v, base) for v in verdicts for base in (False, True)} | near_misses
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rp2_and_torus_fall_back_to_the_face_loop(p):
+    """RP² is CM over F_3 and F_101 but not over F_2, and Gorenstein* over
+    none; the torus is Buchsbaum and never CM.  Where the pair test fails
+    the face loop gives the chain-level witnesses."""
+    fld = FieldSpec(p)
+    fixtures = (
+        (face_poset_of_complex(rp2(), name="rp2"), p != 2),
+        (face_poset_of_complex(torus7(), name="torus"), False),
+    )
+    for P, cm in fixtures:
+        pbar = [x for x in P.elements if x != P.minimum()]
+        fast, slow = IntervalBetti(P, fld).scan(pbar), chain_level(P, pbar, fld)
+        assert (fast._interval_tops is not None) == cm, P.name
+        assert fast.cohen_macaulay()[0] == cm
+        assert fast.buchsbaum() == (True, None)
+        assert not fast.gorenstein_star()[0]
+        for name in CLASSIFIERS:
+            assert getattr(fast, name)() == getattr(slow, name)(), (P.name, name)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_gorenstein_star_scans_are_doubly_cm_without_deletions(p, monkeypatch):
+    """A Gorenstein* Δ is doubly CM by the face-by-face oracle, which
+    deletes each vertex and scans the rest, and the order-complex scan says
+    so without reading a single vertex deletion."""
+    fld = FieldSpec(p)
+
+    def refuse(self, members, v):
+        raise AssertionError("a vertex deletion was read off a Gorenstein* complex")
+
+    spheres = 0
+    for P in poset_samples():
+        for fast, slow in scan_pairs(P, fld):
+            if not slow.gorenstein_star()[0]:
+                continue
+            assert oracle.is_doubly_cm(slow.delta, fld) == (True, None), P.name
+            with monkeypatch.context() as m:
+                m.setattr(IntervalBetti, "_deleted_vector", refuse)
+                assert fast.doubly_cm() == (True, None), P.name
+            spheres += len(slow.delta.vertices) > 1
+    assert spheres
+
+
+def drawn_members(intervals, rng, count):
+    """Random nonempty member bitsets and every open interval of P̂."""
+    n = len(intervals.P)
+    drawn = {sum(1 << i for i in range(n) if rng.random() < rng.choice((0.2, 0.4, 0.7))) for _ in range(count)}
+    return sorted((drawn | set(open_intervals(intervals))) - {0})
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_graph_vectors_match_chain_complexes(p):
+    """Member sets of dimension at most 1 get their vector off the bitsets,
+    and it is that of a reduction of their chains; any other set is left to
+    the reduction."""
+    rng = random.Random(p)
+    seen = set()
+    for P in poset_samples():
+        intervals = IntervalBetti(P, FieldSpec(p))
+        for members in drawn_members(intervals, rng, 20):
+            faces = _chains(members, intervals.above)
+            want = tuple(ChainComplexRep(faces, p).betti(k) for k in range(-1, len(faces) - 1))
+            got = intervals._graph_vector(members)
+            if len(want) > 3:
+                assert got is None, (P.name, members)
+                continue
+            assert got == want, (P.name, members)
+            assert intervals._vector(members) == want
+            seen.add(("points", "graph")[len(want) - 2])
+            if len(want) == 3 and want[1]:
+                seen.add("disconnected graph")
+            if len(want) == 3 and want[2]:
+                seen.add("graph with a cycle")
+    assert seen == {"points", "graph", "disconnected graph", "graph with a cycle"}
 
 
 def test_rp2_face_poset_doubly_cm_stops_at_the_cm_witness(monkeypatch):

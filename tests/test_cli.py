@@ -246,6 +246,8 @@ def test_generate_rejects_oversized_family(capsys):
         (("boolean", "-1"), "Boolean lattice order -1 is below the allowed range 0..6"),
         (("cycle", "65"), "cycle length exceeds the size guard (64)"),
         (("grid", "2", "5"), "grid side exceeds the size guard (4)"),
+        (("random", "3", "-1", "1"), "dimension -1 is below the allowed range 0..2"),
+        (("random", "3", "5", "1"), "dimension exceeds the size guard (2)"),
     ],
 )
 def test_generate_names_the_range_of_a_small_value(capsys, params, message):

