@@ -2,14 +2,16 @@
 
 Complexes are stored by their facets; the full face list is materialized on
 demand and cached (order complexes have few facets but many faces, and desk
-scale keeps the face count manageable).  The void complex {()} and the empty
-complex are distinguished: only the void complex is constructible.
+scale keeps the face count manageable).  `faces()` lists the faces one size
+at a time, each size in plain tuple order; the set of faces is built only
+when asked for.  The void complex {()} and the empty complex are
+distinguished: only the void complex is constructible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     EmptyComplexError,
@@ -113,19 +115,19 @@ class SimplicialComplex:
         return self._facets == ((),)
 
     def faces(self):
-        """All faces including (), sorted by (dimension, vertex tuple)."""
+        """All faces including (), sorted by (dimension, vertex tuple): one
+        size at a time, each size in plain tuple order."""
         if self._faces is None:
-            seen = set()
+            by_size = [set() for _ in range(self.dim + 2)]
             for f in self._facets:
                 for k in range(len(f) + 1):
-                    seen.update(combinations(f, k))
-            self._faces = tuple(sorted(seen, key=lambda s: (len(s), s)))
-            self._face_set = frozenset(self._faces)
+                    by_size[k].update(combinations(f, k))
+            self._faces = tuple(chain.from_iterable(map(sorted, by_size)))
         return self._faces
 
     def face_set(self):
         if self._face_set is None:
-            self.faces()
+            self._face_set = frozenset(self.faces())
         return self._face_set
 
     def has_face(self, face):
@@ -229,32 +231,41 @@ def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
 # -- order complexes ----------------------------------------------------------
 
 
-def order_complex(Q: FinitePoset, name=None) -> SimplicialComplex:
-    """The complex of chains of Q; facets are the maximal chains."""
-    parents = {x: [] for x in Q.elements}
-    for a, b in Q.covers:
-        parents[a].append(b)
+def _maximal_chains(covers, starts):
+    """The maximal chains that go up from the elements `starts` along
+    `covers`, (lower, upper) pairs, each chain a tuple going up."""
+    parents = {}
+    for a, b in covers:
+        parents.setdefault(a, []).append(b)
     chains = []
-    stack = [[x] for x in Q.minimal_elements()]
+    stack = [[x] for x in starts]
     while stack:
-        chain = stack.pop()
-        ups = parents[chain[-1]]
+        path = stack.pop()
+        ups = parents.get(path[-1])
         if not ups:
-            chains.append(tuple(chain))
+            chains.append(tuple(path))
             continue
         for y in ups:
-            stack.append(chain + [y])
+            stack.append(path + [y])
+    return chains
+
+
+def order_complex(Q: FinitePoset, name=None) -> SimplicialComplex:
+    """The complex of chains of Q; facets are the maximal chains."""
     return SimplicialComplex(
-        chains, name=name or f"chains({Q.name})", _checked=True
+        _maximal_chains(Q.covers, Q.minimal_elements()), name=name or f"chains({Q.name})", _checked=True
     )
 
 
 def reduced_order_complex(P: FinitePoset, name=None) -> SimplicialComplex:
-    """Order complex of P minus its minimum; void when P is a singleton."""
+    """Order complex of P minus its minimum; void when P is a singleton.  The
+    maximal chains of P − 0̂ start at the atoms and go up P's own covers, so
+    P − 0̂ is never built."""
     P.minimum()
+    name = name or f"chains({P.name}-min)"
     if len(P) == 1:
-        return SimplicialComplex.void(name=name or f"chains({P.name}-min)")
-    return order_complex(P.remove_min(), name=name)
+        return SimplicialComplex.void(name=name)
+    return SimplicialComplex(_maximal_chains(P.covers, P.atoms()), name=name, _checked=True)
 
 
 # -- serialization ------------------------------------------------------------

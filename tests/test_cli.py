@@ -100,6 +100,16 @@ def test_compute_homology_and_classify(tmp_path, capsys):
     assert payload["buchsbaum_star"] is True
 
 
+def test_compute_homology_of_a_cone_file_prints_zero_betti_numbers(tmp_path, capsys):
+    cone = SimplicialComplex([f + ("apex",) for f in rp2().facets], name="cone-rp2")
+    f = tmp_path / "cone.json"
+    f.write_text(json.dumps(complex_to_dict(cone)))
+    for p in ("2", "3", "101"):
+        assert run_cli("compute", "homology", str(f), "--field", p) == 0
+        zeros = {str(k): 0 for k in range(-1, 4)}
+        assert capsys.readouterr().out == _dump({"name": "cone-rp2", "field": int(p), "betti": zeros})
+
+
 def test_compute_tsv_format(tmp_path, capsys):
     f = tmp_path / "c4.json"
     run_cli("generate", "cycle", "4", "-o", str(f))

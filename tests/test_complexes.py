@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,7 @@ from posetlab.errors import (
 from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
+    make_family,
     simplex_boundary_complex,
 )
 from posetlab.poset import build_from_covers
@@ -174,6 +176,44 @@ def test_order_complex_pure_iff_graded():
 def test_reduced_order_complex_of_singleton_is_void():
     P = build_from_covers(["a"], [])
     assert reduced_order_complex(P).is_void
+
+
+# The posets of the homology-large workload: spheres, contractible ones,
+# those of the interval classes and drawn ones.
+WORKLOAD_FAMILIES = (
+    ("simplex-boundary", 5),
+    ("cube-boundary", 4),
+    ("glued", 4),
+    ("boolean", 6),
+    ("interval", "boolean", 5),
+    ("grid", 4, 4),
+    *(("random-poset", 8, 3, seed) for seed in (31, 32, 33)),
+)
+
+
+def test_reduced_order_complex_matches_the_order_complex_of_p_minus_its_minimum():
+    one_atom = build_from_covers(["0", "a", "b", "c"], [("0", "a"), ("a", "b"), ("a", "c")], name="one-atom")
+    posets = [drawn_poset(seed) for seed in range(10)]
+    posets += [one_atom, boolean_lattice(1)] + [make_family(*spec) for spec in WORKLOAD_FAMILIES]
+    for P in posets:
+        got, want = reduced_order_complex(P), order_complex(P.remove_min())
+        assert (got.name, got.facets) == (want.name, want.facets), P.name
+        assert got.faces() == want.faces()
+    assert reduced_order_complex(one_atom).facets == (("a", "b"), ("a", "c"))
+    singleton = build_from_covers(["a"], [], name="dot")
+    assert reduced_order_complex(singleton) == SimplicialComplex.void()
+    assert reduced_order_complex(singleton).name == "chains(dot-min)"
+
+
+def test_faces_come_in_size_then_vertex_order():
+    rng = random.Random(5)
+    names = ["a", "b10", "b2", "c", "C", "10", "9"]
+    for _ in range(20):
+        facets = [rng.sample(names, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        c = SimplicialComplex.from_faces(facets)
+        every = {s for f in c.facets for k in range(len(f) + 1) for s in combinations(f, k)}
+        assert c.faces() == tuple(sorted(every, key=lambda s: (len(s), s)))
+        assert c.face_set() == frozenset(every)
 
 
 def test_open_interval_complex_of_cover_is_void():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+from conftest import drawn_poset, rp2, torus7
 from posetlab import _kernels, homology
 from posetlab.complexes import (
     SimplicialComplex,
@@ -75,7 +76,7 @@ def test_void_betti():
 
 def test_boundary_of_boundary_vanishes():
     for c in (circle(), simplex_boundary_complex(3), path_complex(3)):
-        assert chain_complex(c, FLD).verify_boundary_identity()
+        assert dense_oracle.verify_boundary_identity(chain_complex(c, FLD))
 
 
 def test_euler_poincare_agreement():
@@ -87,6 +88,104 @@ def test_euler_poincare_agreement():
         order_complex(boolean_lattice(3).remove_min()),
     ):
         assert reduced_homology(c, FLD).alternating_sum() == c.reduced_euler_char()
+
+
+# -- the strong-collapse core -----------------------------------------------------
+
+
+def cone(delta, apex="apex"):
+    return SimplicialComplex([f + (apex,) for f in delta.facets], name=f"cone({delta.name})")
+
+
+def oracle_core(delta):
+    """Strong collapses from the definition, one vertex at a time: v goes
+    when some w != v lies in every facet holding v, and the facets are
+    recomputed after each deletion."""
+    while len(delta.vertices) > 1:
+        for v in delta.vertices:
+            if set.intersection(*(set(f) for f in delta.facets if v in f)) - {v}:
+                delta = delta.delete_vertices([v])
+                break
+        else:
+            break
+    return delta
+
+
+def two_cones():
+    """Two disjoint cones: the core is two points, so β̃_0 = 1."""
+    left = cone(simplex_boundary_complex(2), "x")
+    right = cone(SimplicialComplex([("c", "d"), ("d", "e")]), "y")
+    return SimplicialComplex(left.facets + right.facets, name="two-cones")
+
+
+def core_samples():
+    """Pure, non-pure and order complexes, cones, complexes that collapse to
+    a point without being cones, field-dependent ones, and the edge cases."""
+    rng = random.Random(17)
+    out = [make_family("random", n, d, seed) for n, d in ((5, 2), (6, 2), (7, 3)) for seed in range(3)]
+    out += [reduced_order_complex(drawn_poset(seed)) for seed in range(8)]
+    out += [_random_complex(rng) for _ in range(8)]
+    out += [cone(c) for c in (circle(), rp2(), _random_complex(rng))]
+    out += [reduced_order_complex(make_family("interval", "boolean", n)) for n in (2, 3)]
+    out += [rp2(), torus7(), two_cones()]
+    out.append(SimplicialComplex([("a", "b", "c"), ("c", "d"), ("d", "e"), ("e", "c"), ("f",)], name="mixed"))
+    out += [SimplicialComplex([("a",), ("b",), ("c",)]), SimplicialComplex([("a",)]), SimplicialComplex.void()]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_core_homology_matches_the_full_chain_complex(p):
+    fld = FieldSpec(p)
+    for delta in core_samples():
+        full = chain_complex(delta, fld)
+        want = {k: full.betti(k) for k in range(-1, delta.dim + 1)}
+        assert reduced_homology(delta, fld).betti == want, (delta, p)
+
+
+def test_core_has_the_size_of_the_oracle_core_and_maximal_facets():
+    for delta in core_samples():
+        core, want = homology._strong_core(delta), oracle_core(delta)
+        if core is None:
+            assert len(want.vertices) == 1, delta
+            continue
+        assert (len(core.vertices), len(core.facets)) == (len(want.vertices), len(want.facets)), delta
+        assert SimplicialComplex(core.facets) == core
+
+
+def test_contractible_order_complexes_that_are_not_cones_collapse_without_a_chain_complex(monkeypatch):
+    built = []
+    monkeypatch.setattr(homology, "chain_complex", lambda *args: built.append(args))
+    for n in (2, 3):
+        delta = reduced_order_complex(make_family("interval", "boolean", n))
+        assert not set.intersection(*map(set, delta.facets))
+        for p in (2, 3, 101):
+            assert reduced_homology(delta, FieldSpec(p)).betti == dict.fromkeys(range(-1, delta.dim + 1), 0)
+    assert built == []
+
+
+def test_two_disjoint_cones_keep_two_points_and_pad_above_the_core():
+    delta = two_cones()
+    assert len(homology._strong_core(delta).vertices) == 2
+    for p in (2, 3, 101):
+        assert reduced_homology(delta, FieldSpec(p)).betti == {-1: 0, 0: 1, 1: 0, 2: 0}
+
+
+def test_rp2_core_homology_depends_on_the_field():
+    delta = rp2()
+    assert homology._strong_core(delta) is delta
+    assert reduced_homology(delta, FieldSpec(2)).betti == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert reduced_homology(delta, FieldSpec(3)).betti == {-1: 0, 0: 0, 1: 0, 2: 0}
+    assert reduced_homology(cone(rp2()), FieldSpec(2)).betti == dict.fromkeys(range(-1, 4), 0)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("spec", [("cube-lattice", 6), ("interval", "boolean", 6)])
+def test_large_contractible_order_complexes_build_no_chain_complex(monkeypatch, spec):
+    built = []
+    monkeypatch.setattr(homology, "chain_complex", lambda *args: built.append(args))
+    delta = reduced_order_complex(make_family(*spec))
+    assert reduced_homology(delta, FieldSpec(2)).betti == dict.fromkeys(range(-1, delta.dim + 1), 0)
+    assert built == []
 
 
 # -- relative homology ----------------------------------------------------------
@@ -328,7 +427,7 @@ def test_cm_poset_top_homology_counts_euler_char():
 def test_relative_chain_complex_boundary_identity():
     delta = simplex_boundary_complex(3)
     gamma = delta.contrastar(("s0",))
-    assert relative_chain_complex(delta, gamma, FLD).verify_boundary_identity()
+    assert dense_oracle.verify_boundary_identity(relative_chain_complex(delta, gamma, FLD))
 
 
 # -- sparse ranks against the dense oracle ---------------------------------------------
