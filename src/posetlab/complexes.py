@@ -180,16 +180,6 @@ class SimplicialComplex:
                     candidates.append(tuple(u for u in f if u != v))
         return SimplicialComplex.from_faces(candidates, name=f"cost({self.name})")
 
-    def closed_star(self, vertex):
-        """The complex generated by the facets containing the vertex."""
-        if vertex not in self._vertices:
-            raise UnknownVertexError(vertex)
-        return SimplicialComplex(
-            [f for f in self._facets if vertex in f],
-            name=f"star({self.name})",
-            _checked=True,
-        )
-
     def delete_vertices(self, vertex_set):
         """Faces disjoint from the given vertex set."""
         drop = set(vertex_set)

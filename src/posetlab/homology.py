@@ -85,7 +85,23 @@ witness of a verdict that fails:
   *Combinatorics and Commutative Algebra*, ch. III): for a homology sphere
   Δ, Mayer-Vietoris with star(v) makes Δ - v acyclic, and each of its
   links is a sphere or a sphere minus a vertex.  Doubly CM reads no vertex
-  deletion then.
+  deletion then.  The same holds interval by interval: a homology sphere
+  minus a vertex is acyclic (Baclawski, *Cohen-Macaulay connectivity and
+  geometric lattices*, 1982), so when Δ(I) and, recursively, the intervals
+  below and above each of its elements are spheres, every Δ(I - v) has the
+  zero vector and no top cycle of Δ(I) is reduced.
+- Buchsbaum* one vertex at a time: for σ = σ' ∪ {v} the map H̃_d(Δ) →
+  H̃(lk σ) is H̃_d(Δ) → H̃(lk σ') followed by the map onto the link of v in
+  lk σ', and past the pair test that step is the identity on every factor
+  of the join lk σ' but the interval I holding v, and H̃_top(I) →
+  H̃_top(lk_I v) on it.  By the long exact sequence above that map is onto
+  exactly when β̃_{e−1}(I − v) = 0, e = dim Δ(I); when v is comparable
+  with all of I, Δ(I) is a cone and I − v is lk_I v, so the number is
+  β̃_{e−1}(lk_I v) itself.  These are vertex deletions doubly CM reads
+  too, from the same memo.  If this number is 0 for
+  every vertex and every interval holding it, every face passes; this is
+  the interval form of doubly CM ⇒ Buchsbaum* (Athanasiadis-Welker,
+  *Buchsbaum* complexes*, Math. Z. 2012).  Otherwise the face loop runs.
 - Small intervals are graphs: an order complex of dimension at most 1 is
   a graph with V vertices, E edges (comparable pairs) and c components,
   with reduced Betti vector (0, c - 1, E - V + c), or (0, n - 1) for an
@@ -98,6 +114,7 @@ the only one the CLI reads for a poset file; facet files take `LinkScan`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from itertools import combinations
@@ -105,7 +122,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels, linalg
-from .complexes import SimplicialComplex, is_subcomplex, order_complex
+from .complexes import SimplicialComplex, _maximal_chains, is_subcomplex
 from .errors import (
     FaceNotInComplexError,
     NotASubcomplexError,
@@ -199,13 +216,21 @@ class ChainComplexRep:
         return out
 
 
+def _by_degree(faces):
+    """{degree: faces} from a tuple of faces listed one size at a time, as
+    `SimplicialComplex.faces` lists them: one slice per size."""
+    out, start = {}, 0
+    while start < len(faces):
+        size = len(faces[start])
+        end = bisect_right(faces, size, lo=start, key=len)
+        out[size - 1] = faces[start:end]
+        start = end
+    return out
+
+
 def chain_complex(delta: SimplicialComplex, fld: FieldSpec) -> ChainComplexRep:
     """Augmented chain complex of a complex; degree -1 holds the empty face."""
-    by_deg = {}
-    for f in delta.faces():
-        by_deg.setdefault(len(f) - 1, []).append(f)
-    faces = {k: tuple(fs) for k, fs in by_deg.items()}
-    return ChainComplexRep(faces, fld.characteristic)
+    return ChainComplexRep(_by_degree(delta.faces()), fld.characteristic)
 
 
 def relative_chain_complex(
@@ -216,14 +241,8 @@ def relative_chain_complex(
         missing = next(f for f in gamma.facets if f not in delta.face_set())
         raise NotASubcomplexError(missing)
     gamma_faces = gamma.face_set()
-    by_deg = {}
-    for f in delta.faces():
-        if f not in gamma_faces:
-            by_deg.setdefault(len(f) - 1, []).append(f)
-    if not by_deg:
-        by_deg = {0: []}
-    faces = {k: tuple(fs) for k, fs in by_deg.items()}
-    return ChainComplexRep(faces, fld.characteristic)
+    faces = _by_degree(tuple(f for f in delta.faces() if f not in gamma_faces))
+    return ChainComplexRep(faces or {0: ()}, fld.characteristic)
 
 
 @dataclass(frozen=True)
@@ -534,6 +553,7 @@ class IntervalBetti:
         for k, i in enumerate(P._topo):
             self.position[i] = k
         self._memo = {0: (1,)}  # the empty set spans the void complex
+        self._spheres = {}  # members -> whether Δ(members) is Gorenstein* (`_is_sphere`)
         self._kept = {}  # members -> the chain complex a scan keeps for its top cycles
 
     def _complex(self, members):
@@ -581,6 +601,22 @@ class IntervalBetti:
                 frontier = reach & rest
         return (0, components - 1, edges - n + components)
 
+    def _is_sphere(self, members):
+        """Whether Δ(members) is Gorenstein*: its vector is (0, ..., 0, 1),
+        and so, recursively, is that of members ∩ (·, x) and of
+        members ∩ (x, ·) for every x in it.  These reach every interval
+        members ∩ (a, b), and the link of a chain is the join of such
+        intervals, so every link is a homology sphere too."""
+        got = self._spheres.get(members)
+        if got is None:
+            vector = self._vector(members)
+            got = vector[-1] == 1 and not any(vector[:-1]) and all(
+                self._is_sphere(members & self.below[x]) and self._is_sphere(members & self.above[x])
+                for x in _bits(members)
+            )
+            self._spheres[members] = got
+        return got
+
     def _deleted_vector(self, members, v):
         """The vector of members − v, for an element index v in `members`
         and Δ(members) Cohen-Macaulay; the first call for `members` fills
@@ -599,9 +635,12 @@ class IntervalBetti:
         them, Δ − v = lk v.  Else Δ − v keeps dimension e and its vector is
         zero below e − 1, with β̃_{e−1}(lk v) − r and β̃_e(Δ) − r on top,
         where r is the rank of the restriction of a top cycle basis of Δ to
-        the top chains through v."""
+        the top chains through v.  A Gorenstein* Δ (`_is_sphere`) minus a
+        vertex is acyclic (module docstring), so it needs none of this."""
         top = self._vector(members)
         e = len(top) - 2
+        if self._is_sphere(members):
+            return dict.fromkeys(_bits(members), (0,) * (e + 2))
         links = {
             v: _join_vector(self._vector(members & self.below[v]), self._vector(members & self.above[v]))
             for v in _bits(members)
@@ -650,9 +689,19 @@ class OrderComplexScan(LinkScan):
 
     @cached_property
     def delta(self):
-        P = self.intervals.P
-        members = [P.elements[i] for i in _bits(self.vertex_set)]
-        return order_complex(P.induced(members)) if members else SimplicialComplex.void()
+        """Δ(V), whose facets are the maximal chains of V: they go up the
+        covers within V, read off the bitsets, from the minimal elements of
+        V.  No subposet is built."""
+        iv = self.intervals
+        names, V = iv.P.elements, self.vertex_set
+        if not V:
+            return SimplicialComplex.void()
+        covers = []
+        for x in _bits(V):
+            up = iv.above[x] & V
+            covers += [(names[x], names[y]) for y in _bits(up) if not up & iv.below[y]]
+        starts = [names[x] for x in _bits(V) if not iv.below[x] & V]
+        return SimplicialComplex(_maximal_chains(covers, starts), name=f"chains({iv.P.name}|sub)", _checked=True)
 
     def _intervals(self, chain):
         """The member bitsets of the intervals (a, b) over consecutive
@@ -753,6 +802,26 @@ class OrderComplexScan(LinkScan):
         if self._sphere():
             return True, None
         return super().gorenstein_star()
+
+    def buchsbaum_star(self):
+        """As `LinkScan.buchsbaum_star`.  Past the pair test the map from
+        H̃_d(Δ) onto the top of lk σ goes through lk σ' for σ = σ' ∪ {v},
+        one vertex at a time.  Each step is the identity on all but one
+        interval I of the join lk σ' and H̃_top(I) → H̃_top(lk_I v) on it,
+        which is onto exactly when β̃_{e−1}(I − v) = 0 (e = dim Δ(I); the
+        long exact sequence of `IntervalBetti._deletions`, which also covers
+        a v comparable with all of I, where Δ(I) is a cone).  The intervals
+        I that hold v are those of `_around`.  When every such number is 0,
+        every face passes; otherwise the face loop finds the witness."""
+        if self._interval_tops is not None:
+            iv = self.intervals
+            if all(
+                iv._deleted_vector(m, i)[len(iv._vector(m)) - 2] == 0
+                for i in _bits(self.vertex_set)
+                for m in self._around(i)
+            ):
+                return True, None
+        return super().buchsbaum_star()
 
     def betti(self):
         """As `LinkScan.betti`: the link of the empty face is Δ(V)."""

