@@ -33,6 +33,7 @@ from .poset import (
     is_meet_semilattice,
     is_simplicial_poset,
     jsonable,
+    mobius,
     mobius_from,
     rank_profile,
     reduced_euler_char,
@@ -153,8 +154,7 @@ class _InstanceData:
 
     @cached_property
     def chi_q(self):
-        maximal = set(self.maximals)
-        return -sum(v for z, v in mobius_from(self.P, self.P.minimum()).items() if z not in maximal)
+        return -int(mobius(self.P)._values[self.bottom, self.q_mask].sum())
 
     @cached_property
     def chi_r(self):

@@ -740,61 +740,48 @@ class OrderComplexScan(LinkScan):
         return top
 
     @cached_property
-    def _interval_tops(self):
-        """The set of top Betti numbers of the intervals S ∩ (a, b) over
-        a < b in one segment of 0̂ < B < 1̂, B the fixed chain, when each of
-        them has homology only in its top degree; None otherwise.  These are
-        all the intervals that links of Δ(V) are joins of, and each is, up to
-        void factors, the link of a face, so Δ(V) is Cohen-Macaulay exactly
-        when this is not None, and Gorenstein* exactly when it is {1}."""
+    def _pair_test(self):
+        """Whether each interval S ∩ (a, b) over a < b in one segment of
+        0̂ < B < 1̂, B the fixed chain, has homology only in its top degree.
+        These are all the intervals that links of Δ(V) are joins of, and each
+        is, up to void factors, the link of a face, so Δ(V) is
+        Cohen-Macaulay exactly when this passes."""
         iv = self.intervals
-        bounds = [None, *sorted(self.base, key=iv.position.__getitem__), None]
         seen = set()
-        for lo, hi in zip(bounds, bounds[1:]):
-            segment = self.ground
-            if lo is not None:
-                segment &= iv.above[lo]
-            if hi is not None:
-                segment &= iv.below[hi]
+        for segment in self._intervals(self._chain(())):
             for low in [segment, *(segment & iv.above[a] for a in _bits(segment))]:
                 seen.add(low)
                 seen.update(low & iv.below[b] for b in _bits(low))
-        tops = set()
-        for members in sorted(seen, key=int.bit_count):
-            vector = iv._vector(members)
-            if any(vector[:-1]):
-                return None
-            tops.add(vector[-1])
-        return tops
+        return not any(any(iv._vector(members)[:-1]) for members in sorted(seen, key=int.bit_count))
 
     @cached_property
     def records(self):
-        """As `LinkScan.records`.  Past the pair test of `_interval_tops`
-        every link has homology only in its top degree, and its top Betti
+        """As `LinkScan.records`.  Past the pair test (`_pair_test`) every
+        link has homology only in its top degree, and its top Betti
         number is `link_top`; no join is formed."""
-        if self._interval_tops is None:
+        if not self._pair_test:
             return [(f, *_bad_top(self._link_vector(f))) for f in self.delta.faces()]
         return [(f, None, self.link_top(f)) for f in self.delta.faces()]
 
     def cohen_macaulay(self):
         """As `LinkScan.cohen_macaulay`; the face loop runs only when the
         pair test fails, to find the witness."""
-        if self._interval_tops is not None:
+        if self._pair_test:
             return True, None
         return super().cohen_macaulay()
 
     def buchsbaum(self):
         """As `LinkScan.buchsbaum`: a Cohen-Macaulay complex is pure, so the
         pair test decides it when it passes."""
-        if self._interval_tops is not None:
+        if self._pair_test:
             return True, None
         return super().buchsbaum()
 
     def _sphere(self):
-        """Whether the pair test finds Δ(V) Gorenstein*: every interval's
-        homology is on top and its top Betti number is 1."""
-        tops = self._interval_tops
-        return tops is not None and tops <= {1}
+        """Whether Δ(V) is Gorenstein*: Δ(V) is the join of the order
+        complexes of the segments, so whether each of them is
+        (`IntervalBetti._is_sphere`)."""
+        return all(map(self.intervals._is_sphere, self._intervals(self._chain(()))))
 
     def gorenstein_star(self):
         """As `LinkScan.gorenstein_star`; the pair test decides it when it
@@ -813,7 +800,7 @@ class OrderComplexScan(LinkScan):
         a v comparable with all of I, where Δ(I) is a cone).  The intervals
         I that hold v are those of `_around`.  When every such number is 0,
         every face passes; otherwise the face loop finds the witness."""
-        if self._interval_tops is not None:
+        if self._pair_test:
             iv = self.intervals
             if all(
                 iv._deleted_vector(m, i)[len(iv._vector(m)) - 2] == 0

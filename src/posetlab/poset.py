@@ -618,23 +618,19 @@ def mobius_from(P: FinitePoset, x) -> dict:
 
 
 def reduced_euler_char(P: FinitePoset) -> int:
-    """Möbius value from the minimum to a freshly attached maximum: minus
-    the sum of the row mu(0^, .), read off P's Möbius table when it is
-    cached and computed on its own otherwise (`_mobius_row`)."""
-    m = P.index(P.minimum())
-    cached = P._cache.get("mobius")
-    row = cached[m] if cached is not None else _mobius_row(P, m)
-    return -int(row.sum())
+    """Möbius value from the minimum to a freshly attached maximum."""
+    m = P.minimum()
+    row = mobius_from(P, m)
+    return -sum(row.values())
 
 
-def _mobius_row(P: FinitePoset, i, within=None) -> np.ndarray:
-    """mu(i, .) as one row, 0 off the up-set of i: in topological order,
+def _mobius_row(P: FinitePoset, i, within) -> np.ndarray:
+    """mu(i, .) in the subposet on `within`, a boolean mask that holds i, as
+    one row, 0 off the up-set of i in it: in topological order,
     mu(i, j) = -sum of mu(i, z) over z < j, as in `mobius`, int64 until a
-    value passes the guard and Python ints from there on.  With `within`, a
-    boolean mask that holds i, the row is that of the subposet on the mask,
-    and 0 off it."""
+    value passes the guard and Python ints from there on."""
     leq = P.leq_matrix
-    above = leq[i] if within is None else leq[i] & within
+    above = leq[i] & within
     guard = _INT64_GUARD // max(len(P), 1)
     row = np.zeros(len(P), dtype=np.int64)
     row[i] = 1

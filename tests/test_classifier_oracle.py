@@ -212,7 +212,7 @@ def test_deletions_from_cm_intervals_match_direct_reductions(p):
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_pair_test_decides_cm_and_gorenstein_star(p):
     """The pair test passes exactly when the chain-level scan finds Δ
-    Cohen-Macaulay, its tops are all 1 exactly when Δ is Gorenstein*, and
+    Cohen-Macaulay, `_sphere` holds exactly when Δ is Gorenstein*, and
     the CM, Buchsbaum and Gorenstein* verdicts and witnesses are the
     chain-level ones on both sides of it.  The records and the per-face
     tops the audit reads are the chain-level ones either way."""
@@ -220,10 +220,9 @@ def test_pair_test_decides_cm_and_gorenstein_star(p):
     seen = set()
     for P in poset_samples():
         for fast, slow in scan_pairs(P, fld):
-            tops = fast._interval_tops
             cm, gorenstein = slow.cohen_macaulay()[0], slow.gorenstein_star()[0]
-            assert (tops is not None) == cm, P.name
-            assert (tops is not None and tops <= {1}) == gorenstein, P.name
+            assert fast._pair_test == cm, P.name
+            assert fast._sphere() == gorenstein, P.name
             for name in ("cohen_macaulay", "buchsbaum", "gorenstein_star"):
                 assert getattr(fast, name)() == getattr(slow, name)(), (P.name, name)
             assert fast.records == slow.records, P.name
@@ -252,7 +251,7 @@ def test_rp2_and_torus_fall_back_to_the_face_loop(p):
     for P, cm in fixtures:
         pbar = [x for x in P.elements if x != P.minimum()]
         fast, slow = IntervalBetti(P, fld).scan(pbar), chain_level(P, pbar, fld)
-        assert (fast._interval_tops is not None) == cm, P.name
+        assert fast._pair_test == cm, P.name
         assert fast.cohen_macaulay()[0] == cm
         assert fast.buchsbaum() == (True, None)
         assert not fast.gorenstein_star()[0]
@@ -307,7 +306,7 @@ def test_buchsbaum_star_vertex_test_matches_the_face_loop(p, monkeypatch):
                 m.setattr(OrderComplexScan, "top_rank", recording)
                 got = OrderComplexScan(fast.intervals, fast.ground, fast.base).buchsbaum_star()
             assert got == loop == slow.buchsbaum_star(), P.name
-            cm = "CM" if fast._interval_tops is not None else "not CM"
+            cm = "CM" if fast._pair_test else "not CM"
             seen.add((cm, "face loop" if ranked else "no face rank", got[0]))
     assert {("CM", "no face rank", True), ("CM", "face loop", False), ("not CM", "face loop", False)} <= seen
 
