@@ -30,7 +30,6 @@ from .homology import (
     maximal_interval_classes,
     poset_is_cohen_macaulay,
     reduced_homology,
-    relative_homology,
 )
 from .intpoly import IntPolynomial
 from .linalg import DEFAULT_PRIME, FieldSpec, active_backend

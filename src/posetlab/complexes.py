@@ -213,11 +213,6 @@ class FVector:
         return sum((-1) ** (i % 2) * c for i, c in enumerate(self.counts, start=-1))
 
 
-def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
-    amb = ambient.face_set()
-    return all(f in amb for f in sub.facets)
-
-
 # -- order complexes ----------------------------------------------------------
 
 

@@ -101,13 +101,6 @@ class EmptyComplexError(PosetLabError):
     """The complex with no faces at all is rejected; the void complex {()} is fine."""
 
 
-class NotASubcomplexError(PosetLabError):
-    def __init__(self, face=None):
-        self.face = face
-        detail = f": face {sorted(face)!r} missing from the ambient complex" if face else ""
-        super().__init__(f"not a subcomplex{detail}")
-
-
 class NotPrimeError(PosetLabError):
     def __init__(self, value):
         self.value = value

@@ -1,4 +1,4 @@
-"""Reduced and relative simplicial homology over a prime field.
+"""Reduced simplicial homology over a prime field.
 
 Orientation convention: faces are sorted vertex tuples, boundary signs come
 from removal position, and the empty face sits in degree -1 so homology is
@@ -43,7 +43,9 @@ them most link computations:
 - Buchsbaum* by excision: H_d(Δ, cost σ) ≅ H̃_{d-|σ|}(lk σ) for pure Δ of
   dimension d, and neither side has d-boundaries.  So the map from H_d(Δ) has
   the rank of the rows of a top cycle basis at the d-faces containing σ, and
-  the link's top Betti number as codomain.  For σ = {v} it is the map
+  the link's top Betti number as codomain.  Each vertex keeps the bitset of
+  the d-faces the basis meets that hold it, and the d-faces containing σ are
+  the AND of the bitsets of its vertices.  For σ = {v} it is the map
   H̃_d(Δ) → H̃_{d-1}(lk v), which the audit's atom-link check reads off that
   basis.
 
@@ -90,18 +92,8 @@ witness of a verdict that fails:
   geometric lattices*, 1982), so when Δ(I) and, recursively, the intervals
   below and above each of its elements are spheres, every Δ(I - v) has the
   zero vector and no top cycle of Δ(I) is reduced.
-- Buchsbaum* one vertex at a time: for σ = σ' ∪ {v} the map H̃_d(Δ) →
-  H̃(lk σ) is H̃_d(Δ) → H̃(lk σ') followed by the map onto the link of v in
-  lk σ', and past the pair test that step is the identity on every factor
-  of the join lk σ' but the interval I holding v, and H̃_top(I) →
-  H̃_top(lk_I v) on it.  By the long exact sequence above that map is onto
-  exactly when β̃_{e−1}(I − v) = 0, e = dim Δ(I); when v is comparable
-  with all of I, Δ(I) is a cone and I − v is lk_I v, so the number is
-  β̃_{e−1}(lk_I v) itself.  These are vertex deletions doubly CM reads
-  too, from the same memo.  If this number is 0 for
-  every vertex and every interval holding it, every face passes; this is
-  the interval form of doubly CM ⇒ Buchsbaum* (Athanasiadis-Welker,
-  *Buchsbaum* complexes*, Math. Z. 2012).  Otherwise the face loop runs.
+- Doubly CM ⇒ Buchsbaum* (Athanasiadis-Welker, *Buchsbaum* complexes*,
+  Math. Z. 2012), so Buchsbaum* runs its face loop only when doubly CM fails.
 - Small intervals are graphs: an order complex of dimension at most 1 is
   a graph with V vertices, E edges (comparable pairs) and c components,
   with reduced Betti vector (0, c - 1, E - V + c), or (0, n - 1) for an
@@ -116,19 +108,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
 from . import _kernels, linalg
-from .complexes import SimplicialComplex, _maximal_chains, is_subcomplex
-from .errors import (
-    FaceNotInComplexError,
-    NotASubcomplexError,
-    OmegaNotOneDimensionalError,
-    PosetLabError,
-)
+from .complexes import SimplicialComplex, _maximal_chains
+from .errors import FaceNotInComplexError, OmegaNotOneDimensionalError, PosetLabError
 from .linalg import FieldSpec
 from .poset import FinitePoset, _bits, rank_profile
 
@@ -233,18 +220,6 @@ def chain_complex(delta: SimplicialComplex, fld: FieldSpec) -> ChainComplexRep:
     return ChainComplexRep(_by_degree(delta.faces()), fld.characteristic)
 
 
-def relative_chain_complex(
-    delta: SimplicialComplex, gamma: SimplicialComplex, fld: FieldSpec
-) -> ChainComplexRep:
-    """Quotient complex on the faces of delta that are not in gamma."""
-    if not is_subcomplex(gamma, delta):
-        missing = next(f for f in gamma.facets if f not in delta.face_set())
-        raise NotASubcomplexError(missing)
-    gamma_faces = gamma.face_set()
-    faces = _by_degree(tuple(f for f in delta.faces() if f not in gamma_faces))
-    return ChainComplexRep(faces or {0: ()}, fld.characteristic)
-
-
 @dataclass(frozen=True)
 class HomologyReport:
     """Betti numbers by dimension (reduced for a single complex, else relative)."""
@@ -322,14 +297,6 @@ def _strong_core(delta):
     )
 
 
-def relative_homology(
-    delta: SimplicialComplex, gamma: SimplicialComplex, fld: FieldSpec
-) -> HomologyReport:
-    ccr = relative_chain_complex(delta, gamma, fld)
-    betti = {k: ccr.betti(k) for k in range(0, delta.dim + 1)}
-    return HomologyReport(betti, fld.characteristic)
-
-
 @dataclass(frozen=True)
 class MaximalIntervalClasses:
     """For each maximal element, the class its open lower interval carries
@@ -342,7 +309,8 @@ class MaximalIntervalClasses:
 def maximal_interval_classes(P: FinitePoset, fld: FieldSpec) -> MaximalIntervalClasses:
     if rank_profile(P).top_rank < 2:
         raise PosetLabError("interval classes need rank at least 2")
-    return _interval_classes(P, IntervalBetti(P, fld).scan(P.remove_maximal().remove_min().elements))
+    bottom, maximals = P.minimum(), set(P.maximal_elements())
+    return _interval_classes(P, IntervalBetti(P, fld).scan(x for x in P.elements if x != bottom and x not in maximals))
 
 
 def _interval_classes(P, qbar):
@@ -465,22 +433,16 @@ class LinkScan:
 
     @cached_property
     def top_cycles(self):
-        """The rows of a top cycle basis per d-face index (`_top_rows`) and
-        the d-faces holding each nonempty face."""
-        ccr, d = self.top_complex
-        holders = {}
-        for j, facet in enumerate(ccr.faces.get(d, ())):
-            for k in range(1, len(facet) + 1):
-                for sub in combinations(facet, k):
-                    holders.setdefault(sub, []).append(j)
-        return _top_rows(ccr, d), holders
+        """The rows of a top cycle basis and the vertex bitsets (`_top_rows`)."""
+        return _top_rows(*self.top_complex)
 
     def top_rank(self, face):
         """Rank of H̃_d(Δ) → H̃_{d-|σ|}(lk σ) for a nonempty face σ of a pure Δ
-        of dimension d, by excision (see the module docstring)."""
+        of dimension d, by excision (see the module docstring): the rows at
+        the d-faces that hold every vertex of σ."""
         rows, holders = self.top_cycles
-        restricted = (rows.get(j, {}) for j in holders.get(face, ()))
-        return linalg.rank(restricted, self.fld.characteristic)
+        at = reduce(and_, (holders.get(v, 0) for v in face))
+        return linalg.rank((rows[j] for j in _bits(at)), self.fld.characteristic)
 
     def buchsbaum_star(self):
         """Buchsbaum, plus top homology surjects onto every contrastar pair;
@@ -503,12 +465,17 @@ class LinkScan:
 
 def _top_rows(ccr, d):
     """A top cycle basis of a chain complex of dimension d as rows
-    {d-face index: {basis position: coefficient}}, for the faces it meets."""
+    {d-face index: {basis position: coefficient}}, for the faces it meets,
+    and {vertex: bitset of the d-face indices among those that hold it}."""
     rows = {}
     for n, cycle in enumerate(ccr.homology_basis(d)):
         for j, c in cycle.items():
             rows.setdefault(j, {})[n] = c
-    return rows
+    holders = {}
+    for j in rows:
+        for v in ccr.faces[d][j]:
+            holders[v] = holders.get(v, 0) | 1 << j
+    return rows, holders
 
 
 def _chains(members, above):
@@ -645,18 +612,17 @@ class IntervalBetti:
             v: _join_vector(self._vector(members & self.below[v]), self._vector(members & self.above[v]))
             for v in _bits(members)
         }
-        through = {}  # v -> the rows of the top cycle basis at top chains through v
+        rows, holders = {}, {}
         if top[-1] and any(lk[-1] for lk in links.values()):
-            ccr = self._complex(members)
-            for j, row in _top_rows(ccr, e).items():
-                for v in ccr.faces[e][j]:
-                    through.setdefault(v, []).append(row)
+            rows, holders = _top_rows(self._complex(members), e)
         out = {}
         for v, lk in links.items():
             if not members & ~(self.above[v] | self.below[v] | 1 << v):
                 out[v] = tuple(lk)
             else:
-                r = linalg.rank(through[v], self.fld.characteristic) if lk[-1] and v in through else 0
+                r = 0
+                if lk[-1] and v in holders:
+                    r = linalg.rank((rows[j] for j in _bits(holders[v])), self.fld.characteristic)
                 out[v] = (0,) * e + (lk[-1] - r, top[-1] - r)
         return out
 
@@ -791,23 +757,10 @@ class OrderComplexScan(LinkScan):
         return super().gorenstein_star()
 
     def buchsbaum_star(self):
-        """As `LinkScan.buchsbaum_star`.  Past the pair test the map from
-        H̃_d(Δ) onto the top of lk σ goes through lk σ' for σ = σ' ∪ {v},
-        one vertex at a time.  Each step is the identity on all but one
-        interval I of the join lk σ' and H̃_top(I) → H̃_top(lk_I v) on it,
-        which is onto exactly when β̃_{e−1}(I − v) = 0 (e = dim Δ(I); the
-        long exact sequence of `IntervalBetti._deletions`, which also covers
-        a v comparable with all of I, where Δ(I) is a cone).  The intervals
-        I that hold v are those of `_around`.  When every such number is 0,
-        every face passes; otherwise the face loop finds the witness."""
-        if self._pair_test:
-            iv = self.intervals
-            if all(
-                iv._deleted_vector(m, i)[len(iv._vector(m)) - 2] == 0
-                for i in _bits(self.vertex_set)
-                for m in self._around(i)
-            ):
-                return True, None
+        """As `LinkScan.buchsbaum_star`: a doubly CM complex is Buchsbaum*
+        (module docstring); otherwise the face loop decides."""
+        if self.doubly_cm()[0]:
+            return True, None
         return super().buchsbaum_star()
 
     def betti(self):
@@ -823,9 +776,8 @@ class OrderComplexScan(LinkScan):
         return ccr, len(ccr.faces) - 2
 
     def top_rank(self, face):
-        """As `LinkScan.top_rank`; the face becomes its chain of indices."""
-        iv = self.intervals
-        return super().top_rank(tuple(sorted(map(iv.P.index, face), key=iv.position.__getitem__)))
+        """As `LinkScan.top_rank`; the face's vertices become element indices."""
+        return super().top_rank(tuple(map(self.intervals.P.index, face)))
 
     def vertex_link(self, v):
         """The scan of lk(v): v joins the fixed chain."""

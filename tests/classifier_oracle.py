@@ -2,10 +2,15 @@
 builds each link (and each vertex deletion and contrastar pair) afresh.
 Kept verbatim as the reference the fast classifiers are checked against;
 the Buchsbaum* maps run through the dense oracle in `dense_oracle.py`.
+The top ranks of a scan by the subset map they were once read off are here
+too, the reference for the ranks read off vertex bitsets.
 """
 
-from dense_oracle import _induced_report, _projection_matrix
-from posetlab.homology import ComplexClasses, chain_complex, relative_chain_complex
+from itertools import combinations
+
+from dense_oracle import _induced_report, _projection_matrix, relative_chain_complex
+from posetlab import linalg
+from posetlab.homology import ComplexClasses, OrderComplexScan, chain_complex
 from posetlab.linalg import FieldSpec
 from posetlab.complexes import SimplicialComplex
 
@@ -141,3 +146,31 @@ def classify(delta: SimplicialComplex, fld: FieldSpec) -> ComplexClasses:
         witnesses["buchsbaum_star"] = buch_wit
 
     return ComplexClasses(cm, buch, doubly, gor, bstar, witnesses)
+
+
+def top_ranks(scan, fld):
+    """{face: `top_rank(face)`} for every nonempty face of a pure scan's
+    complex, through a map from every nonempty subset of every top face to
+    the top faces holding it: the rank of the top cycle rows at the top
+    faces holding the face.  A face of an order-complex scan becomes its
+    chain of element indices, as the faces of its chain complex are."""
+    ccr, d = scan.top_complex
+    rows = {}
+    for n, cycle in enumerate(ccr.homology_basis(d)):
+        for j, c in cycle.items():
+            rows.setdefault(j, {})[n] = c
+    holders = {}
+    for j, facet in enumerate(ccr.faces.get(d, ())):
+        for k in range(1, len(facet) + 1):
+            for sub in combinations(facet, k):
+                holders.setdefault(sub, []).append(j)
+    out = {}
+    for face in scan.delta.faces():
+        if not face:
+            continue
+        key = face
+        if isinstance(scan, OrderComplexScan):
+            iv = scan.intervals
+            key = tuple(sorted(map(iv.P.index, face), key=iv.position.__getitem__))
+        out[face] = linalg.rank((rows.get(j, {}) for j in holders.get(key, ())), fld.characteristic)
+    return out

@@ -7,7 +7,8 @@ interval classes through them, are the ones the package computed before it
 read the classes off interval Betti numbers.  The order complex of an open
 interval, built on its own, is here too: the package reads open intervals
 off its interval scans instead; so is the closed star of a vertex, which
-only the excision tests build.
+only the excision tests build, and the relative homology of a pair, the
+excision oracle of the link scans' top ranks and the Buchsbaum* oracle.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,13 @@ import numpy as np
 
 from posetlab.complexes import SimplicialComplex, order_complex
 from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError, UnknownVertexError
-from posetlab.homology import MaximalIntervalClasses, chain_complex, relative_chain_complex
+from posetlab.homology import (
+    ChainComplexRep,
+    HomologyReport,
+    MaximalIntervalClasses,
+    _by_degree,
+    chain_complex,
+)
 from posetlab.poset import rank_profile
 
 
@@ -33,6 +40,37 @@ def closed_star(delta, vertex):
     if vertex not in delta.vertices:
         raise UnknownVertexError(vertex)
     return SimplicialComplex([f for f in delta.facets if vertex in f], name=f"star({delta.name})", _checked=True)
+
+
+# -- relative homology ---------------------------------------------------------
+
+
+class NotASubcomplexError(PosetLabError):
+    def __init__(self, face=None):
+        self.face = face
+        detail = f": face {sorted(face)!r} missing from the ambient complex" if face else ""
+        super().__init__(f"not a subcomplex{detail}")
+
+
+def is_subcomplex(sub, ambient):
+    amb = ambient.face_set()
+    return all(f in amb for f in sub.facets)
+
+
+def relative_chain_complex(delta, gamma, fld):
+    """Quotient complex on the faces of delta that are not in gamma."""
+    if not is_subcomplex(gamma, delta):
+        missing = next(f for f in gamma.facets if f not in delta.face_set())
+        raise NotASubcomplexError(missing)
+    gamma_faces = gamma.face_set()
+    faces = _by_degree(tuple(f for f in delta.faces() if f not in gamma_faces))
+    return ChainComplexRep(faces or {0: ()}, fld.characteristic)
+
+
+def relative_homology(delta, gamma, fld):
+    ccr = relative_chain_complex(delta, gamma, fld)
+    betti = {k: ccr.betti(k) for k in range(0, delta.dim + 1)}
+    return HomologyReport(betti, fld.characteristic)
 
 
 # -- row reduction -------------------------------------------------------------

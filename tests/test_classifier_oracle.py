@@ -9,9 +9,11 @@ checked against the dense vertex link map of `dense_oracle.py`.  The pair
 test that decides the order-complex scan's CM, Buchsbaum and Gorenstein*
 verdicts, its records by interval tops, the Gorenstein* shortcut of doubly
 CM and the graph vectors of small intervals are each checked against the
-chain-level scan or a chain complex, and so are the Buchsbaum* test by
-vertex deletions (against the per-face loop) and the sphere test of
-intervals with its acyclic deletions (against direct reductions).
+chain-level scan or a chain complex, and so are Buchsbaum* by doubly CM
+(against the per-face loop) and the sphere test of intervals with its
+acyclic deletions (against direct reductions).  The top ranks of every
+face, read off vertex bitsets, are checked against the subset map of
+`classifier_oracle.py`.
 """
 
 import random
@@ -283,12 +285,16 @@ def test_gorenstein_star_scans_are_doubly_cm_without_deletions(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
-def test_buchsbaum_star_vertex_test_matches_the_face_loop(p, monkeypatch):
+def test_buchsbaum_star_from_doubly_cm_matches_the_face_loop(p, monkeypatch):
     """Buchsbaum* of the order-complex scans, and of the scans of their
     vertex links, is the per-face loop's verdict and witness (and the
-    chain-level scan's).  Past the pair test, the vertex test passes without
-    a single `top_rank`, or the loop finds the witness; a complex that is
-    not CM goes through the loop, unless it is not even Buchsbaum."""
+    chain-level scan's).  A doubly CM complex passes without a single
+    `top_rank`; any other goes through the loop, unless it is not even
+    Buchsbaum.  The loop fails some CM complexes and passes some that are
+    not CM, such as two disjoint circles.  It passes no CM complex: a CM
+    complex that is Buchsbaum* is doubly CM (Athanasiadis-Welker), and a
+    simplex, the order complex of a chain, is not Buchsbaum*, since no top
+    cycle reaches the void link of its facet."""
     fld = FieldSpec(p)
     ranked = []
     top_rank = OrderComplexScan.top_rank
@@ -298,7 +304,7 @@ def test_buchsbaum_star_vertex_test_matches_the_face_loop(p, monkeypatch):
         return top_rank(self, face)
 
     seen = set()
-    for P in poset_samples():
+    for P in [*poset_samples(), face_poset_of_complex(disjoint_spheres(2), name="two-circles")]:
         for fast, slow in scan_pairs(P, fld):
             loop = LinkScan.buchsbaum_star(fast)
             ranked.clear()
@@ -306,9 +312,12 @@ def test_buchsbaum_star_vertex_test_matches_the_face_loop(p, monkeypatch):
                 m.setattr(OrderComplexScan, "top_rank", recording)
                 got = OrderComplexScan(fast.intervals, fast.ground, fast.base).buchsbaum_star()
             assert got == loop == slow.buchsbaum_star(), P.name
+            assert not (ranked and fast.doubly_cm()[0]), P.name
             cm = "CM" if fast._pair_test else "not CM"
             seen.add((cm, "face loop" if ranked else "no face rank", got[0]))
-    assert {("CM", "no face rank", True), ("CM", "face loop", False), ("not CM", "face loop", False)} <= seen
+    loops = {("CM", "face loop", False), ("not CM", "face loop", False), ("not CM", "face loop", True)}
+    assert {("CM", "no face rank", True), *loops} <= seen
+    assert ("CM", "face loop", True) not in seen
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -451,6 +460,30 @@ def test_top_rank_matches_vertex_link_map(p):
             assert got == want, (scan.delta, v)
             short += want[0] < want[1]
     assert short  # some vertex link is not reached
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_top_rank_matches_subset_map_on_every_face(p):
+    """`top_rank` of every nonempty face, the rank at the AND of its
+    vertices' bitsets, is the oracle's rank through the subset map, on the
+    pure link scans of `samples()`, the pure order-complex scans of
+    `scan_pairs` and those of Δ(Q̄) for cube-boundary-3 and 4.  Some face
+    ranks below its first vertex, so its other vertices count."""
+    fld = FieldSpec(p)
+    scans = [LinkScan(delta, fld) for delta in samples()]
+    scans += [fast for P in poset_samples() for fast, _ in scan_pairs(P, fld)]
+    for n in (3, 4):
+        P = make_family("cube-boundary", n)
+        scans.append(IntervalBetti(P, fld).scan(P.remove_maximal().remove_min().elements))
+    below = 0
+    for scan in scans:
+        if not scan.delta.is_pure():
+            continue
+        want = oracle.top_ranks(scan, fld)
+        for face, rank in want.items():
+            assert scan.top_rank(face) == rank, (scan.delta, face)
+            below += rank < want[face[:1]]
+    assert below
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,12 +8,11 @@ import pytest
 
 import posetlab
 from conftest import brute_force_chains, drawn_poset
-from dense_oracle import closed_star, open_interval_complex
+from dense_oracle import closed_star, is_subcomplex, open_interval_complex
 from posetlab.complexes import (
     SimplicialComplex,
     complex_from_dict,
     complex_to_dict,
-    is_subcomplex,
     order_complex,
     reduced_order_complex,
 )

@@ -11,11 +11,7 @@ from posetlab.complexes import (
     order_complex,
     reduced_order_complex,
 )
-from posetlab.errors import (
-    NotASubcomplexError,
-    OmegaNotOneDimensionalError,
-    PosetLabError,
-)
+from posetlab.errors import OmegaNotOneDimensionalError, PosetLabError
 from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
@@ -37,10 +33,8 @@ from posetlab.homology import (
     maximal_interval_classes,
     poset_is_cohen_macaulay,
     reduced_homology,
-    relative_chain_complex,
-    relative_homology,
 )
-from dense_oracle import rank as matrix_rank
+from dense_oracle import NotASubcomplexError, rank as matrix_rank, relative_chain_complex, relative_homology
 from posetlab.linalg import FieldSpec
 from posetlab.poset import reduced_euler_char, rank_profile
 
