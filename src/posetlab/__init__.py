@@ -22,13 +22,7 @@ from .hvectors import (
 from .homology import (
     HomologyReport,
     chain_complex,
-    classify,
-    is_buchsbaum,
-    is_buchsbaum_star,
-    is_cohen_macaulay,
-    is_doubly_cm,
     maximal_interval_classes,
-    poset_is_cohen_macaulay,
     reduced_homology,
 )
 from .intpoly import IntPolynomial

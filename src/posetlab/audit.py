@@ -20,7 +20,7 @@ from .errors import (
     OmegaNotOneDimensionalError,
 )
 from .generators import suite
-from .homology import _interval_classes, poset_scan
+from .homology import OrderComplexScan, _interval_classes, poset_scan
 from .hvectors import cubical_h, simplicial_h, toric_h
 from .linalg import FieldSpec
 from .poset import (
@@ -594,8 +594,10 @@ def check_truncation_structure(data: _InstanceData):
 
     interval_ok = True
     interval_wit = None
+    iv = data.pbar.intervals
     for y in data.maximals:
-        ok, wit = data.pbar.vertex_link(y).doubly_cm()
+        # y is maximal, so its link in Δ(P̄) is Δ((0̂, y)).
+        ok, wit = OrderComplexScan(iv, data.pbar.ground & iv.below[data.P.index(y)]).doubly_cm()
         if not ok:
             interval_ok, interval_wit = False, (y, wit)
             break

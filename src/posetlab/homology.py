@@ -49,16 +49,18 @@ them most link computations:
   H̃_d(Δ) → H̃_{d-1}(lk v), which the audit's atom-link check reads off that
   basis.
 
-An order complex Δ(X) needs no link built at all (`OrderComplexScan`); three
-more identities reduce its scan to the homology of open intervals of X̂,
-X with a new bottom 0̂ and top 1̂:
+The order complex Δ(S) of a set S of poset elements needs no link built
+at all (`OrderComplexScan`); three more identities reduce its scan to the
+homology of open intervals of Ŝ, S with a new bottom 0̂ and top 1̂:
 
 - Links are joins: the link of a chain c_1 < ... < c_k is the join
   Δ(0̂, c_1) * Δ(c_1, c_2) * ... * Δ(c_k, 1̂), and over a field
   β̃_{r+1}(A * B) = sum over i + j = r of β̃_i(A) β̃_j(B) (Künneth;
   Björner-Garsia-Stanley 1982).  In t^(i+1) powers the Betti vectors
-  multiply as polynomials, the void complex being 1.
-- Vertex deletion: Δ(X) - v = Δ(X - v), so deleting v changes only the
+  multiply as polynomials, the void complex being 1.  The link of a vertex
+  v is Δ(S ∩ (·, v)) * Δ(S ∩ (v, ·)), the order complex of the elements
+  comparable with v; for a maximal v it is Δ(S ∩ (·, v)).
+- Vertex deletion: Δ(S) - v = Δ(S - v), so deleting v changes only the
   intervals (a, b) with a < v < b, which become (a, b) - v (Baclawski 1980).
   In a link lk_{Δ-v}(σ), with σ∪{v} a chain, v lies in exactly one factor.
 - Deletion from a Cohen-Macaulay interval: let Δ = Δ(I) be CM of dimension
@@ -73,16 +75,16 @@ X with a new bottom 0̂ and top 1̂:
 Most verdicts need no face at all; the face loops run only to find the
 witness of a verdict that fails:
 
-- Pairs decide CM: Δ(X) is CM iff every open interval of X̂ has reduced
+- Pairs decide CM: Δ(S) is CM iff every open interval of Ŝ has reduced
   homology only in its top degree (Björner-Garsia-Stanley 1982).  A link's
-  factors are the intervals S ∩ (a, b), a < b within one segment of
-  0̂ < B < 1̂ (B the scan's fixed chain), and each such interval is, up to
-  void factors, the link of a face; a join of complexes with homology only
-  on top has homology only on top.  So one memoised vector per comparable
-  pair decides CM, and CM implies Buchsbaum, since a CM complex is pure.
-  The top coefficient of a join is the product of the factors' top
-  coefficients, so the records are then (face, None, product of tops), and
-  Δ(X) is Gorenstein* iff every such interval also has top Betti number 1.
+  factors are the intervals S ∩ (a, b), a < b in Ŝ, and each such interval
+  is, up to void factors, the link of a face; a join of complexes with
+  homology only on top has homology only on top.  So one memoised vector
+  per comparable pair decides CM, and CM implies Buchsbaum, since a CM
+  complex is pure.  The top coefficient of a join is the product of the
+  factors' top coefficients, so the records are then (face, None, product
+  of tops), and Δ(S) is Gorenstein* iff every such interval also has top
+  Betti number 1.
 - Gorenstein* complexes are doubly CM (Baclawski 1980; Stanley,
   *Combinatorics and Commutative Algebra*, ch. III): for a homology sphere
   Δ, Mayer-Vietoris with star(v) makes Δ - v acyclic, and each of its
@@ -99,9 +101,10 @@ witness of a verdict that fails:
   with reduced Betti vector (0, c - 1, E - V + c), or (0, n - 1) for an
   antichain of n points, over every field.  No chain complex is built.
 
-A scan also gives its complex's reduced Betti numbers (`betti`) and the five
-flags of `classify` (`classes`).  `poset_scan(P)`, the scan of Δ(P − 0̂), is
-the only one the CLI reads for a poset file; facet files take `LinkScan`.
+A scan also gives its complex's reduced Betti numbers (`betti`) and its
+five classifier flags (`classes`).  `poset_scan(P)`, the scan of
+Δ(P − 0̂), is the only one the CLI reads for a poset file; facet files take
+`LinkScan`.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ import numpy as np
 
 from . import _kernels, linalg
 from .complexes import SimplicialComplex, _maximal_chains
-from .errors import FaceNotInComplexError, OmegaNotOneDimensionalError, PosetLabError
+from .errors import OmegaNotOneDimensionalError, PosetLabError
 from .linalg import FieldSpec
 from .poset import FinitePoset, _bits, rank_profile
 
@@ -329,7 +332,7 @@ def _interval_classes(P, qbar):
     ambient_dim = len(ambient.homology_basis(deg))
     classes = {}
     for y in sorted(P.maximal_elements()):
-        interval = iv._complex(qbar.vertex_set & iv.below[P.index(y)])
+        interval = iv._complex(qbar.ground & iv.below[P.index(y)])
         basis = interval.homology_basis(deg)
         if len(basis) != 1:
             raise OmegaNotOneDimensionalError(y, len(basis))
@@ -381,13 +384,6 @@ class LinkScan:
     def betti(self):
         """Reduced Betti numbers of the complex, {degree: β̃}, from -1 to its dimension."""
         return reduced_homology(self.delta, self.fld).betti
-
-    def vertex_link(self, v):
-        """The scan of lk(v), read off this one: lk_{lk v}(σ) = lk(σ ∪ {v})."""
-        scan = LinkScan(self.delta.link((v,)), self.fld)
-        by_face = {f: rest for f, *rest in self.records}
-        scan.records = [(s, *by_face[tuple(sorted(s + (v,)))]) for s in scan.delta.faces()]
-        return scan
 
     def cohen_macaulay(self):
         """Vanishing link homology below top dimension for every face incl. ();
@@ -629,44 +625,39 @@ class IntervalBetti:
     def scan(self, members):
         """The `OrderComplexScan` of Δ(members)."""
         ground = sum(1 << self.P.index(x) for x in members)
-        return OrderComplexScan(self, ground, ())
+        return OrderComplexScan(self, ground)
 
 
 class OrderComplexScan(LinkScan):
-    """The `LinkScan` of an order complex, read off interval Betti vectors.
+    """The `LinkScan` of the order complex Δ(S) of a set S of elements,
+    `ground`, read off interval Betti vectors.
 
-    The complex is Δ(V): V holds the elements of a ground set S that are
-    comparable with every element of a fixed chain B and not in B.  B is
-    empty except in `vertex_link`.  The link of a chain c of V is the join
-    of the order complexes of S ∩ (a, b) over consecutive a < b in
-    0̂ < c ∪ B < 1̂.  Deleting a vertex u from Δ(V) deletes it from the one
-    interval that holds it.  Records and witnesses come in the face order
-    of the chain-level scan, so every classifier gives the same answer.
+    The link of a chain c of S is the join of the order complexes of the
+    intervals S ∩ (a, b) over consecutive a < b in 0̂ < c < 1̂.  Deleting a
+    vertex u from Δ(S) deletes it from the one interval that holds it.
+    Records and witnesses come in the face order of the chain-level scan,
+    so every classifier gives the same answer.
     """
 
-    def __init__(self, intervals: IntervalBetti, ground: int, base: tuple):
+    def __init__(self, intervals: IntervalBetti, ground: int):
         self.intervals = intervals
         self.fld = intervals.fld
-        self.ground = ground
-        self.base = base  # element indices
-        for b in base:
-            ground &= intervals.above[b] | intervals.below[b]
-        self.vertex_set = ground
+        self.ground = ground  # member bitset of S
 
     @cached_property
     def delta(self):
-        """Δ(V), whose facets are the maximal chains of V: they go up the
-        covers within V, read off the bitsets, from the minimal elements of
-        V.  No subposet is built."""
+        """Δ(S), whose facets are the maximal chains of S: they go up the
+        covers within S, read off the bitsets, from the minimal elements of
+        S.  No subposet is built."""
         iv = self.intervals
-        names, V = iv.P.elements, self.vertex_set
-        if not V:
+        names, S = iv.P.elements, self.ground
+        if not S:
             return SimplicialComplex.void()
         covers = []
-        for x in _bits(V):
-            up = iv.above[x] & V
+        for x in _bits(S):
+            up = iv.above[x] & S
             covers += [(names[x], names[y]) for y in _bits(up) if not up & iv.below[y]]
-        starts = [names[x] for x in _bits(V) if not iv.below[x] & V]
+        starts = [names[x] for x in _bits(S) if not iv.below[x] & S]
         return SimplicialComplex(_maximal_chains(covers, starts), name=f"chains({iv.P.name}|sub)", _checked=True)
 
     def _intervals(self, chain):
@@ -679,9 +670,9 @@ class OrderComplexScan(LinkScan):
         yield lower
 
     def _chain(self, face):
-        """A face with the fixed chain B, as element indices going up."""
+        """A face as element indices going up."""
         iv = self.intervals
-        return sorted([*map(iv.P.index, face), *self.base], key=iv.position.__getitem__)
+        return sorted(map(iv.P.index, face), key=iv.position.__getitem__)
 
     def _link_vector(self, face, drop=None):
         """Reduced Betti vector of the link of a face, as a join of
@@ -707,17 +698,15 @@ class OrderComplexScan(LinkScan):
 
     @cached_property
     def _pair_test(self):
-        """Whether each interval S ∩ (a, b) over a < b in one segment of
-        0̂ < B < 1̂, B the fixed chain, has homology only in its top degree.
-        These are all the intervals that links of Δ(V) are joins of, and each
-        is, up to void factors, the link of a face, so Δ(V) is
-        Cohen-Macaulay exactly when this passes."""
-        iv = self.intervals
+        """Whether each open interval S ∩ (a, b) of Ŝ has homology only in
+        its top degree.  These are all the intervals that links of Δ(S) are
+        joins of, and each is, up to void factors, the link of a face, so
+        Δ(S) is Cohen-Macaulay exactly when this passes."""
+        iv, S = self.intervals, self.ground
         seen = set()
-        for segment in self._intervals(self._chain(())):
-            for low in [segment, *(segment & iv.above[a] for a in _bits(segment))]:
-                seen.add(low)
-                seen.update(low & iv.below[b] for b in _bits(low))
+        for low in [S, *(S & iv.above[a] for a in _bits(S))]:
+            seen.add(low)
+            seen.update(low & iv.below[b] for b in _bits(low))
         return not any(any(iv._vector(members)[:-1]) for members in sorted(seen, key=int.bit_count))
 
     @cached_property
@@ -743,16 +732,10 @@ class OrderComplexScan(LinkScan):
             return True, None
         return super().buchsbaum()
 
-    def _sphere(self):
-        """Whether Δ(V) is Gorenstein*: Δ(V) is the join of the order
-        complexes of the segments, so whether each of them is
-        (`IntervalBetti._is_sphere`)."""
-        return all(map(self.intervals._is_sphere, self._intervals(self._chain(()))))
-
     def gorenstein_star(self):
-        """As `LinkScan.gorenstein_star`; the pair test decides it when it
-        passes (`_sphere`)."""
-        if self._sphere():
+        """As `LinkScan.gorenstein_star`; the sphere test of S decides it
+        when it passes (`IntervalBetti._is_sphere`)."""
+        if self.intervals._is_sphere(self.ground):
             return True, None
         return super().gorenstein_star()
 
@@ -764,36 +747,34 @@ class OrderComplexScan(LinkScan):
         return super().buchsbaum_star()
 
     def betti(self):
-        """As `LinkScan.betti`: the link of the empty face is Δ(V)."""
+        """As `LinkScan.betti`: the link of the empty face is Δ(S)."""
         return dict(enumerate(self._link_vector(()), -1))
 
     @cached_property
     def top_complex(self):
-        """As `LinkScan.top_complex`, on the chains of V as index tuples; the
-        memo keeps it for the vector and the vertex deletions of V."""
+        """As `LinkScan.top_complex`, on the chains of S as index tuples; the
+        memo keeps it for the vector and the vertex deletions of S."""
         iv = self.intervals
-        ccr = iv._kept[self.vertex_set] = iv._complex(self.vertex_set)
+        ccr = iv._kept[self.ground] = iv._complex(self.ground)
         return ccr, len(ccr.faces) - 2
 
     def top_rank(self, face):
         """As `LinkScan.top_rank`; the face's vertices become element indices."""
         return super().top_rank(tuple(map(self.intervals.P.index, face)))
 
-    def vertex_link(self, v):
-        """The scan of lk(v): v joins the fixed chain."""
-        i = self.intervals.P.index(v)
-        if not self.vertex_set >> i & 1:
-            raise FaceNotInComplexError((v,))
-        return OrderComplexScan(self.intervals, self.ground, self.base + (i,))
-
     def doubly_cm(self):
-        """As `LinkScan.doubly_cm`; lk_{Δ-v}(σ) is the join of the intervals
-        of σ with v deleted from the one that holds it, (a, b) with a and b
-        consecutive around v in 0̂ < σ ∪ B < 1̂.
+        """As `LinkScan.doubly_cm`, computed once per scan (`_doubly_cm`)."""
+        return self._doubly_cm
+
+    @cached_property
+    def _doubly_cm(self):
+        """`doubly_cm`.  lk_{Δ-v}(σ) is the join of the intervals of σ with v
+        deleted from the one that holds it, (a, b) with a and b consecutive
+        around v in 0̂ < σ ∪ {v} < 1̂.
 
         A Gorenstein* complex passes at once (module docstring).  Past
         `cohen_macaulay()`, every interval of a link is itself the link of a
-        face of Δ(V) (join it with maximal chains of the other intervals),
+        face of Δ(S) (join it with maximal chains of the other intervals),
         so it is Cohen-Macaulay, and the vector of (a, b) − v
         comes from the long exact sequence (`IntervalBetti._deletions`).
         That rule holds only there: the scans of one memo share these
@@ -807,15 +788,15 @@ class OrderComplexScan(LinkScan):
         ok, wit = self.cohen_macaulay()
         if not ok:
             return False, wit
-        if self._sphere():
+        iv, S = self.intervals, self.ground
+        if iv._is_sphere(S):
             return True, None
-        iv = self.intervals
         names = iv.P.elements
         with_vertex = None
-        for i in sorted(_bits(self.vertex_set), key=names.__getitem__):
+        for i in sorted(_bits(S), key=names.__getitem__):
             v = names[i]
             # v lies in every facet when it is comparable with every vertex.
-            if not self.vertex_set & ~(iv.above[i] | iv.below[i] | 1 << i):
+            if not S & ~(iv.above[i] | iv.below[i] | 1 << i):
                 return False, (v, "dimension drops")
             if all(_bad_top(iv._deleted_vector(m, i))[0] is None for m in self._around(i)):
                 continue
@@ -837,42 +818,12 @@ class OrderComplexScan(LinkScan):
     def _around(self, i):
         """The member bitsets of the intervals (a, b) that hold the vertex i
         in the links of the faces of lk(i): a and b are consecutive around i
-        in 0̂ < σ ∪ B < 1̂ for some face σ."""
-        iv = self.intervals
-        lower = [x for x in self.base if iv.below[i] >> x & 1]
-        upper = [x for x in self.base if iv.above[i] >> x & 1]
-        # The intervals of B around i, then every element of V inside them.
-        low = self.ground & (iv.above[max(lower, key=iv.position.__getitem__)] if lower else -1)
-        high = self.ground & (iv.below[min(upper, key=iv.position.__getitem__)] if upper else -1)
-        bottoms = [low] + [self.ground & iv.above[a] for a in _bits(low & iv.below[i])]
-        tops = [high] + [self.ground & iv.below[b] for b in _bits(high & iv.above[i])]
+        in 0̂ < σ ∪ {i} < 1̂ for some face σ, so a is 0̂ or below i and b is
+        1̂ or above it."""
+        iv, S = self.intervals, self.ground
+        bottoms = [S, *(S & iv.above[a] for a in _bits(S & iv.below[i]))]
+        tops = [S, *(S & iv.below[b] for b in _bits(S & iv.above[i]))]
         return [m & n for m in bottoms for n in tops]
-
-
-def is_cohen_macaulay(delta: SimplicialComplex, fld: FieldSpec):
-    """`LinkScan.cohen_macaulay` of a fresh scan."""
-    return LinkScan(delta, fld).cohen_macaulay()
-
-
-def is_buchsbaum(delta: SimplicialComplex, fld: FieldSpec):
-    """`LinkScan.buchsbaum` of a fresh scan."""
-    return LinkScan(delta, fld).buchsbaum()
-
-
-def is_doubly_cm(delta: SimplicialComplex, fld: FieldSpec):
-    """`LinkScan.doubly_cm` of a fresh scan."""
-    return LinkScan(delta, fld).doubly_cm()
-
-
-def is_buchsbaum_star(delta: SimplicialComplex, fld: FieldSpec):
-    """`LinkScan.buchsbaum_star` of a fresh scan."""
-    return LinkScan(delta, fld).buchsbaum_star()
-
-
-def classify(delta: SimplicialComplex, fld: FieldSpec) -> ComplexClasses:
-    """Cohen-Macaulay, Buchsbaum, doubly CM, Gorenstein*, Buchsbaum* flags
-    with a first-failure witness per property, all from one link scan."""
-    return LinkScan(delta, fld).classes()
 
 
 def poset_scan(P: FinitePoset, fld: FieldSpec) -> OrderComplexScan:
@@ -881,8 +832,3 @@ def poset_scan(P: FinitePoset, fld: FieldSpec) -> OrderComplexScan:
     bottom = P.minimum()
     return IntervalBetti(P, fld).scan(x for x in P.elements if x != bottom)
 
-
-def poset_is_cohen_macaulay(P: FinitePoset, fld: FieldSpec):
-    """A poset with minimum is CM exactly when the order complex of the
-    poset minus its minimum is; the cone over the minimum adds nothing."""
-    return poset_scan(P, fld).cohen_macaulay()

@@ -19,7 +19,7 @@ from posetlab.generators import (
     random_pure_subcomplex,
     simplex_boundary_complex,
 )
-from posetlab.homology import classify, reduced_homology
+from posetlab.homology import LinkScan, reduced_homology
 from posetlab.hvectors import (
     cubical_h,
     cubical_h_penultimate_direct,
@@ -290,7 +290,7 @@ def test_criterion_11_cubical_machinery(suite_posets):
 def test_criterion_12_classifiers(suite_posets, suite_reports, field):
     failures = []
     for n in (2, 3, 4):
-        classes = classify(simplex_boundary_complex(n), field)
+        classes = LinkScan(simplex_boundary_complex(n), field).classes()
         if not (classes.gorenstein_star and classes.doubly_cm and classes.buchsbaum_star):
             failures.append((f"simplex-boundary-{n}", classes))
 
@@ -312,7 +312,7 @@ def test_criterion_12_classifiers(suite_posets, suite_reports, field):
     for c in sweep:
         if len(c.faces()) > 10**5:
             continue
-        classes = classify(c, field)
+        classes = LinkScan(c, field).classes()
         if classes.cohen_macaulay and classes.doubly_cm != classes.buchsbaum_star:
             failures.append((c.name, "doubly-CM vs Buchsbaum* disagree"))
         if classes.gorenstein_star and not classes.doubly_cm:

@@ -2,18 +2,19 @@
 `classifier_oracle.py`: same flags and the same first-failure witnesses, at
 p = 2, 3 and 101, on a fixed seeded sample of complexes.  The scan of an
 order complex from interval Betti numbers is checked against the
-chain-level scan the same way, on a fixed sample of posets, and the vertex
-deletions it reads off the long exact sequence against direct reductions.
-The vertex top ranks the audit reads off a scan's top cycle basis are
-checked against the dense vertex link map of `dense_oracle.py`.  The pair
-test that decides the order-complex scan's CM, Buchsbaum and Gorenstein*
-verdicts, its records by interval tops, the Gorenstein* shortcut of doubly
-CM and the graph vectors of small intervals are each checked against the
-chain-level scan or a chain complex, and so are Buchsbaum* by doubly CM
-(against the per-face loop) and the sphere test of intervals with its
-acyclic deletions (against direct reductions).  The top ranks of every
-face, read off vertex bitsets, are checked against the subset map of
-`classifier_oracle.py`.
+chain-level scan the same way, on a fixed sample of posets, and so is the
+scan of the elements comparable with a vertex against the link of that
+vertex.  The vertex deletions it reads off the long exact sequence are
+checked against direct reductions.  The vertex top ranks the audit reads
+off a scan's top cycle basis are checked against the dense vertex link map
+of `dense_oracle.py`.  The pair test that decides the order-complex scan's
+CM, Buchsbaum and Gorenstein* verdicts, its records by interval tops, the
+Gorenstein* shortcut of doubly CM and the graph vectors of small intervals
+are each checked against the chain-level scan or a chain complex, and so
+are Buchsbaum* by doubly CM (against the per-face loop) and the sphere test
+of intervals with its acyclic deletions (against direct reductions).  A
+scan computes doubly CM once.  The top ranks of every face, read off vertex
+bitsets, are checked against the subset map of `classifier_oracle.py`.
 """
 
 import random
@@ -25,7 +26,6 @@ import classifier_oracle as oracle
 import dense_oracle
 from conftest import drawn_poset, rp2, torus7
 from posetlab.complexes import SimplicialComplex, order_complex, reduced_order_complex
-from posetlab.errors import FaceNotInComplexError
 from posetlab.generators import (
     face_poset_of_complex,
     make_family,
@@ -41,20 +41,15 @@ from posetlab.homology import (
     LinkScan,
     OrderComplexScan,
     _chains,
-    classify,
-    is_buchsbaum,
-    is_buchsbaum_star,
-    is_cohen_macaulay,
-    is_doubly_cm,
 )
 from posetlab.linalg import FieldSpec
 from posetlab.poset import _bits, build_from_covers
 
 PAIRS = (
-    (is_cohen_macaulay, oracle.is_cohen_macaulay),
-    (is_buchsbaum, oracle.is_buchsbaum),
-    (is_doubly_cm, oracle.is_doubly_cm),
-    (is_buchsbaum_star, oracle.is_buchsbaum_star),
+    ("cohen_macaulay", oracle.is_cohen_macaulay),
+    ("buchsbaum", oracle.is_buchsbaum),
+    ("doubly_cm", oracle.is_doubly_cm),
+    ("buchsbaum_star", oracle.is_buchsbaum_star),
 )
 
 
@@ -92,9 +87,10 @@ def test_link_scan_matches_oracle(p):
     fld = FieldSpec(p)
     seen = set()
     for delta in samples():
-        for fast, slow in PAIRS:
-            assert fast(delta, fld) == slow(delta, fld), (delta, fast.__name__)
-        got = classify(delta, fld)
+        scan = LinkScan(delta, fld)
+        for name, slow in PAIRS:
+            assert getattr(scan, name)() == slow(delta, fld), (delta, name)
+        got = scan.classes()
         assert got == oracle.classify(delta, fld), delta
         wit = got.witnesses
         if not got.doubly_cm and got.cohen_macaulay and isinstance(wit["doubly_cm"][1], tuple):
@@ -106,26 +102,13 @@ def test_link_scan_matches_oracle(p):
     assert seen == {"doubly CM fails at a face", "Buchsbaum* fails with a rank", "all five hold"}
 
 
-@pytest.mark.parametrize("p", [2, 3, 101])
-def test_vertex_link_scan_matches_fresh_scan(p):
-    fld = FieldSpec(p)
-    for delta in samples():
-        scan = LinkScan(delta, fld)
-        for v in delta.vertices:
-            got = scan.vertex_link(v)
-            fresh = LinkScan(delta.link((v,)), fld)
-            assert got.delta == fresh.delta
-            assert got.records == fresh.records, (delta, v)
-            assert got.doubly_cm() == fresh.doubly_cm(), (delta, v)
-
-
 # -- the order-complex scan against the chain-level scan -------------------------
 
 CLASSIFIERS = ("cohen_macaulay", "buchsbaum", "gorenstein_star", "doubly_cm", "buchsbaum_star")
 
 
 def poset_samples():
-    out = [drawn_poset(seed) for seed in range(24)]
+    out = [drawn_poset(seed) for seed in range(25)]
     out += [build_from_covers(["0"], [], name="point"), face_poset_of_complex(rp2(), name="rp2")]
     out += [make_family("boolean", 3), make_family("cube-boundary", 3), make_family("cycle", 4)]
     return out
@@ -137,18 +120,26 @@ def chain_level(P, members, fld):
     return LinkScan(delta, fld)
 
 
+VERTEX_LINKS = ("maximal v (an interval)", "non-maximal v (a join)")
+
+
 def scan_pairs(P, fld):
-    """(order-complex scan, chain-level scan) of Δ(P̄) and Δ(Q̄), P̄ = P
-    minus its minimum and Q̄ = P̄ minus its maximal elements, and of the link
-    of every vertex of each: the link scans have a nonempty fixed chain."""
+    """(kind, order-complex scan, chain-level scan) of Δ(P̄) and Δ(Q̄),
+    P̄ = P minus its minimum and Q̄ = P̄ minus its maximal elements, and of
+    the link of every vertex v of each.  The link is the scan of the
+    elements comparable with v, from the same memo: an interval when v is
+    maximal, a join otherwise (`VERTEX_LINKS`)."""
     intervals = IntervalBetti(P, fld)
     pbar = [x for x in P.elements if x != P.minimum()]
     qbar = [x for x in pbar if x not in P.maximal_elements()]
     for members in (pbar, qbar):
-        fast, slow = intervals.scan(members), chain_level(P, members, fld)
-        yield fast, slow
+        slow = chain_level(P, members, fld)
+        yield "whole complex", intervals.scan(members), slow
         for v in members:
-            yield fast.vertex_link(v), slow.vertex_link(v)
+            above = [x for x in members if P.lt(v, x)]
+            link = [x for x in members if P.lt(x, v)] + above
+            kind = VERTEX_LINKS[bool(above)]
+            yield kind, intervals.scan(link), LinkScan(slow.delta.link((v,)), fld)
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -158,7 +149,7 @@ def test_order_complex_scan_matches_chain_level_scan(p):
     fld = FieldSpec(p)
     seen = set()
     for P in poset_samples():
-        for got, want in scan_pairs(P, fld):
+        for _, got, want in scan_pairs(P, fld):
             assert got.delta == want.delta, P.name
             assert got.records == want.records, P.name
             assert got.betti() == want.betti(), P.name
@@ -192,7 +183,7 @@ def test_deletions_from_cm_intervals_match_direct_reductions(p):
     for P in poset_samples():
         intervals = IntervalBetti(P, fld)
         for members in open_intervals(intervals):
-            if not OrderComplexScan(intervals, members, ()).cohen_macaulay()[0]:
+            if not OrderComplexScan(intervals, members).cohen_macaulay()[0]:
                 continue
             got = intervals._deletions(members)
             assert sorted(got) == list(_bits(members)), P.name
@@ -214,22 +205,22 @@ def test_deletions_from_cm_intervals_match_direct_reductions(p):
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_pair_test_decides_cm_and_gorenstein_star(p):
     """The pair test passes exactly when the chain-level scan finds Δ
-    Cohen-Macaulay, `_sphere` holds exactly when Δ is Gorenstein*, and
+    Cohen-Macaulay, `_is_sphere` holds exactly when Δ is Gorenstein*, and
     the CM, Buchsbaum and Gorenstein* verdicts and witnesses are the
     chain-level ones on both sides of it.  The records and the per-face
     tops the audit reads are the chain-level ones either way."""
     fld = FieldSpec(p)
     seen = set()
     for P in poset_samples():
-        for fast, slow in scan_pairs(P, fld):
+        for kind, fast, slow in scan_pairs(P, fld):
             cm, gorenstein = slow.cohen_macaulay()[0], slow.gorenstein_star()[0]
             assert fast._pair_test == cm, P.name
-            assert fast._sphere() == gorenstein, P.name
+            assert fast.intervals._is_sphere(fast.ground) == gorenstein, P.name
             for name in ("cohen_macaulay", "buchsbaum", "gorenstein_star"):
                 assert getattr(fast, name)() == getattr(slow, name)(), (P.name, name)
             assert fast.records == slow.records, P.name
             assert [fast.link_top(f) for f, _, _ in slow.records] == [top for *_, top in slow.records]
-            seen.add(("passes" if cm else "fails", "Gorenstein*" if gorenstein else "not Gorenstein*", bool(fast.base)))
+            seen.add(("passes" if cm else "fails", "Gorenstein*" if gorenstein else "not Gorenstein*", kind))
             if slow.buchsbaum()[0] and not cm:
                 seen.add("Buchsbaum, not CM")
             if not slow.delta.is_pure():
@@ -237,7 +228,8 @@ def test_pair_test_decides_cm_and_gorenstein_star(p):
     verdicts = {(cm, gor) for cm in ("passes", "fails") for gor in ("Gorenstein*", "not Gorenstein*")}
     verdicts.discard(("fails", "Gorenstein*"))
     near_misses = {"Buchsbaum, not CM", "not pure"}
-    assert seen == {(*v, base) for v in verdicts for base in (False, True)} | near_misses
+    kinds = ("whole complex", *VERTEX_LINKS)
+    assert seen == {(*v, kind) for v in verdicts for kind in kinds} | near_misses
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -273,7 +265,7 @@ def test_gorenstein_star_scans_are_doubly_cm_without_deletions(p, monkeypatch):
 
     spheres = 0
     for P in poset_samples():
-        for fast, slow in scan_pairs(P, fld):
+        for _, fast, slow in scan_pairs(P, fld):
             if not slow.gorenstein_star()[0]:
                 continue
             assert oracle.is_doubly_cm(slow.delta, fld) == (True, None), P.name
@@ -305,12 +297,12 @@ def test_buchsbaum_star_from_doubly_cm_matches_the_face_loop(p, monkeypatch):
 
     seen = set()
     for P in [*poset_samples(), face_poset_of_complex(disjoint_spheres(2), name="two-circles")]:
-        for fast, slow in scan_pairs(P, fld):
+        for _, fast, slow in scan_pairs(P, fld):
             loop = LinkScan.buchsbaum_star(fast)
             ranked.clear()
             with monkeypatch.context() as m:
                 m.setattr(OrderComplexScan, "top_rank", recording)
-                got = OrderComplexScan(fast.intervals, fast.ground, fast.base).buchsbaum_star()
+                got = OrderComplexScan(fast.intervals, fast.ground).buchsbaum_star()
             assert got == loop == slow.buchsbaum_star(), P.name
             assert not (ranked and fast.doubly_cm()[0]), P.name
             cm = "CM" if fast._pair_test else "not CM"
@@ -318,6 +310,35 @@ def test_buchsbaum_star_from_doubly_cm_matches_the_face_loop(p, monkeypatch):
     loops = {("CM", "face loop", False), ("not CM", "face loop", False), ("not CM", "face loop", True)}
     assert {("CM", "no face rank", True), *loops} <= seen
     assert ("CM", "face loop", True) not in seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_doubly_cm_is_computed_once_per_scan(p, monkeypatch):
+    """Past the first `doubly_cm` of a scan, a second one and
+    `buchsbaum_star` read its result: they give the chain-level verdicts
+    and witnesses without asking the memo for a sphere or a deletion."""
+    fld = FieldSpec(p)
+    reads = []
+    deleted_vector, is_sphere = IntervalBetti._deleted_vector, IntervalBetti._is_sphere
+
+    def counting(method):
+        return lambda *args: reads.append(method) or method(*args)
+
+    def refuse(*args):
+        raise AssertionError("doubly CM was computed again")
+
+    for P in poset_samples():
+        for _, fast, slow in scan_pairs(P, fld):
+            with monkeypatch.context() as m:
+                m.setattr(IntervalBetti, "_deleted_vector", counting(deleted_vector))
+                m.setattr(IntervalBetti, "_is_sphere", counting(is_sphere))
+                first = fast.doubly_cm()
+            with monkeypatch.context() as m:
+                m.setattr(IntervalBetti, "_deleted_vector", refuse)
+                m.setattr(IntervalBetti, "_is_sphere", refuse)
+                assert fast.doubly_cm() == first == slow.doubly_cm(), P.name
+                assert fast.buchsbaum_star() == slow.buchsbaum_star(), P.name
+    assert deleted_vector in reads and is_sphere in reads
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -420,13 +441,6 @@ def test_rp2_face_poset_is_cohen_macaulay_over_f3_only():
         assert IntervalBetti(P, FieldSpec(p)).scan(pbar).cohen_macaulay() == (True, None)
 
 
-def test_vertex_link_of_a_non_vertex_is_refused():
-    P = make_family("boolean", 2)
-    scan = IntervalBetti(P, FieldSpec(2)).scan(["1", "2"])
-    with pytest.raises(FaceNotInComplexError):
-        scan.vertex_link(scan.delta.vertices[0]).vertex_link(scan.delta.vertices[1])
-
-
 # -- top ranks against the dense vertex link map ---------------------------------
 
 
@@ -471,7 +485,7 @@ def test_top_rank_matches_subset_map_on_every_face(p):
     ranks below its first vertex, so its other vertices count."""
     fld = FieldSpec(p)
     scans = [LinkScan(delta, fld) for delta in samples()]
-    scans += [fast for P in poset_samples() for fast, _ in scan_pairs(P, fld)]
+    scans += [fast for P in poset_samples() for _, fast, _ in scan_pairs(P, fld)]
     for n in (3, 4):
         P = make_family("cube-boundary", n)
         scans.append(IntervalBetti(P, fld).scan(P.remove_maximal().remove_min().elements))

@@ -11,7 +11,7 @@ from posetlab import cli
 from posetlab.cli import main
 from posetlab.complexes import SimplicialComplex, complex_to_dict, reduced_order_complex
 from posetlab.generators import face_poset_of_complex, make_family
-from posetlab.homology import classify, is_buchsbaum_star, is_cohen_macaulay, reduced_homology
+from posetlab.homology import LinkScan, reduced_homology
 from posetlab.linalg import FieldSpec
 from posetlab.poset import build_from_covers, jsonable, poset_from_dict, poset_to_dict
 
@@ -473,15 +473,16 @@ def chain_level_outputs(P, fld):
     delta = reduced_order_complex(P)
     head = {"name": P.name, "field": fld.characteristic}
     betti = reduced_homology(delta, fld).betti
-    classes = classify(delta, fld)
+    scan = LinkScan(delta, fld)
+    classes = scan.classes()
     names = ("cohen_macaulay", "buchsbaum", "doubly_cm", "gorenstein_star", "buchsbaum_star")
     flags = {name: getattr(classes, name) for name in names}
     out = {
         ("compute", "homology"): (0, _dump({**head, "betti": {str(k): v for k, v in sorted(betti.items())}})),
         ("compute", "classify"): (0, _dump({**head, **flags})),
     }
-    for pred, check in (("cm", is_cohen_macaulay), ("buchsbaum-star", is_buchsbaum_star)):
-        result, witness = check(delta, fld)
+    for pred, check in (("cm", scan.cohen_macaulay), ("buchsbaum-star", scan.buchsbaum_star)):
+        result, witness = check()
         payload = {"name": P.name, "predicate": pred, "result": result}
         if witness is not None:
             payload["witness"] = jsonable(witness)
@@ -548,7 +549,7 @@ def test_facet_files_take_the_chain_level_scan(tmp_path, capsys, monkeypatch, p)
     f = tmp_path / "rp2.json"
     f.write_text(json.dumps(complex_to_dict(rp2())))
     fld = FieldSpec(p)
-    classes = classify(rp2(), fld)
+    classes = LinkScan(rp2(), fld).classes()
     assert (classes.cohen_macaulay, classes.buchsbaum_star) == (p == 3, p == 2)
     links = count_links(monkeypatch)
     assert run_cli("compute", "classify", str(f), "--field", str(p)) == 0

@@ -25,13 +25,8 @@ from posetlab.generators import (
 from posetlab.homology import (
     LinkScan,
     chain_complex,
-    classify,
-    is_buchsbaum,
-    is_buchsbaum_star,
-    is_cohen_macaulay,
-    is_doubly_cm,
     maximal_interval_classes,
-    poset_is_cohen_macaulay,
+    poset_scan,
     reduced_homology,
 )
 from dense_oracle import NotASubcomplexError, rank as matrix_rank, relative_chain_complex, relative_homology
@@ -316,7 +311,7 @@ def test_interval_classes_flag_bad_hypotheses():
 
 
 def test_sphere_classification():
-    classes = classify(simplex_boundary_complex(3), FLD)
+    classes = LinkScan(simplex_boundary_complex(3), FLD).classes()
     assert classes.cohen_macaulay
     assert classes.buchsbaum
     assert classes.doubly_cm
@@ -326,7 +321,7 @@ def test_sphere_classification():
 
 def test_path_is_cm_but_not_doubly_cm():
     path = path_complex(2)
-    classes = classify(path, FLD)
+    classes = LinkScan(path, FLD).classes()
     assert classes.cohen_macaulay
     assert not classes.doubly_cm
     assert classes.witnesses["doubly_cm"][0] == "p1"
@@ -335,35 +330,35 @@ def test_path_is_cm_but_not_doubly_cm():
 
 def test_disconnected_complex_fails_cm_at_empty_face():
     c = SimplicialComplex([("a", "b"), ("b", "c"), ("x", "y")])
-    ok, witness = is_cohen_macaulay(c, FLD)
+    ok, witness = LinkScan(c, FLD).cohen_macaulay()
     assert not ok
     assert witness == ((), 0)
 
 
 def test_wedge_of_triangles_fails_cm_at_the_shared_vertex():
     wedge = SimplicialComplex([("a", "b", "m"), ("m", "x", "y")])
-    ok, witness = is_cohen_macaulay(wedge, FLD)
+    ok, witness = LinkScan(wedge, FLD).cohen_macaulay()
     assert not ok
     assert witness == (("m",), 0)  # the link of m is disconnected
 
 
 def test_impure_complex_fails_buchsbaum():
     c = SimplicialComplex([("a", "b"), ("z",)])
-    ok, witness = is_buchsbaum(c, FLD)
+    ok, witness = LinkScan(c, FLD).buchsbaum()
     assert not ok
     assert witness[0] == "not pure"
 
 
 def test_points_are_buchsbaum_star():
-    ok, _ = is_buchsbaum_star(points_complex(4), FLD)
+    ok, _ = LinkScan(points_complex(4), FLD).buchsbaum_star()
     assert ok
 
 
 def test_single_point_is_cm_not_doubly_cm():
     point = SimplicialComplex([("a",)])
-    assert is_cohen_macaulay(point, FLD)[0]
-    assert not is_doubly_cm(point, FLD)[0]
-    assert not is_buchsbaum_star(point, FLD)[0]
+    assert LinkScan(point, FLD).cohen_macaulay()[0]
+    assert not LinkScan(point, FLD).doubly_cm()[0]
+    assert not LinkScan(point, FLD).buchsbaum_star()[0]
 
 
 def test_buchsbaum_definitions_agree():
@@ -378,9 +373,9 @@ def test_buchsbaum_definitions_agree():
         SimplicialComplex([("a", "b", "c"), ("c", "d", "e")]),
     ]
     for delta in samples:
-        via_links = is_buchsbaum(delta, FLD)[0]
+        via_links = LinkScan(delta, FLD).buchsbaum()[0]
         via_link_cm = delta.is_pure() and all(
-            is_cohen_macaulay(delta.link(f), FLD)[0] for f in delta.faces() if f
+            LinkScan(delta.link(f), FLD).cohen_macaulay()[0] for f in delta.faces() if f
         )
         via_relative = delta.is_pure() and all(
             all(
@@ -395,8 +390,8 @@ def test_buchsbaum_definitions_agree():
 
 def test_poset_cm_equals_truncated_complex_cm():
     for P in (boolean_lattice(3), cubical_complex_poset("cycle", 4)):
-        assert poset_is_cohen_macaulay(P, FLD)[0]
-        assert is_cohen_macaulay(reduced_order_complex(P), FLD)[0]
+        assert poset_scan(P, FLD).cohen_macaulay()[0]
+        assert LinkScan(reduced_order_complex(P), FLD).cohen_macaulay()[0]
 
 
 def test_cm_poset_top_homology_counts_euler_char():

@@ -20,7 +20,7 @@ from posetlab.generators import face_poset_of_complex, make_family, random_pure_
 from posetlab.homology import (
     chain_complex,
     maximal_interval_classes,
-    poset_is_cohen_macaulay,
+    poset_scan,
 )
 from posetlab.linalg import FieldSpec
 
@@ -117,7 +117,7 @@ def drawn_cm_face_posets(fld):
     for n, d in ((5, 1), (6, 1), (5, 2), (6, 2), (7, 2), (6, 3)):
         for seed in range(6):
             P = face_poset_of_complex(random_pure_subcomplex(n, d, seed), name=f"r{n}-{d}-s{seed}")
-            if poset_is_cohen_macaulay(P, fld)[0]:
+            if poset_scan(P, fld).cohen_macaulay()[0]:
                 yield P
 
 
