@@ -1,7 +1,6 @@
 """posetlab: order-theoretic and homological invariants of finite posets."""
 
 from .complexes import (
-    FVector,
     SimplicialComplex,
     complex_from_dict,
     complex_to_dict,
@@ -38,7 +37,6 @@ from .poset import (
     is_lower_eulerian,
     is_meet_semilattice,
     is_simplicial_poset,
-    min_atoms_below,
     mobius,
     mobius_from,
     poset_from_dict,
@@ -46,7 +44,6 @@ from .poset import (
     rank_alternating_sum,
     rank_profile,
     reduced_euler_char,
-    structural_predicates,
 )
 from .audit import AuditReport, CheckRecord, audit_poset, run_suite
 

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import _kernels
 from .errors import (
     BasisNotFoundError,
     OmegaNotOneDimensionalError,
@@ -25,7 +25,6 @@ from .hvectors import cubical_h, simplicial_h, toric_h
 from .linalg import FieldSpec
 from .poset import (
     FinitePoset,
-    _mobius_row,
     atoms_below,
     is_cubical_poset,
     is_graded,
@@ -90,7 +89,6 @@ class BasisSelection:
     """Greedily chosen maximal elements whose interval classes form a basis."""
 
     chosen: tuple
-    vectors: dict
     certificate_rank: int
 
 
@@ -135,7 +133,9 @@ class _InstanceData:
     # the interval classes serve only the rank >= 2 checks.  Q = P minus its
     # maximal elements and R = Q minus its atoms are masks on P's indices,
     # read against P's own tables: Q is a down-set of P, so its atoms, its
-    # ranks and its Möbius values from the minimum are P's.
+    # ranks and its Möbius values from the minimum are P's.  A chain of P
+    # from the minimum meets at most one atom, right after it, so by Hall's
+    # theorem mu_R(0, y) = mu_P(0, y) + sum of mu_P(a, y) over atoms a < y.
     @cached_property
     def bottom(self):
         return self.P.index(self.P.minimum())
@@ -158,7 +158,8 @@ class _InstanceData:
 
     @cached_property
     def chi_r(self):
-        return -int(_mobius_row(self.P, self.bottom, self.r_mask).sum())
+        rows = [self.bottom] + [self.P.index(x) for x in self.atoms]
+        return -int(mobius(self.P)._values[np.ix_(rows, self.r_mask)].sum())
 
     @cached_property
     def qbar(self):
@@ -358,7 +359,11 @@ def check_truncation_step(data: _InstanceData):
 
 def select_basis(data: _InstanceData, reverse=False) -> BasisSelection:
     """Greedy scan of the maximal elements in (reversed) lexicographic order,
-    keeping an element when its class grows the span.
+    keeping an element when its class grows the span.  A class grows the
+    span exactly when it is independent of the classes before it, that is,
+    when one left-to-right column reduction of the classes in that order
+    keeps its column a pivot, so the chosen elements are the columns that do
+    not reduce to zero.
 
     Raises BasisNotFoundError when the classes cannot span; for a lower
     Eulerian Cohen-Macaulay instance that would contradict the spanning
@@ -366,28 +371,16 @@ def select_basis(data: _InstanceData, reverse=False) -> BasisSelection:
     """
     classes = data.interval_classes
     order = sorted(classes.classes, reverse=reverse)
-    chosen = []
-    columns = []
-    p = data.fld.characteristic
-    current_rank = 0
-    for y in order:
-        candidate = columns + [{i: int(v) for i, v in enumerate(classes.classes[y]) if v}]
-        r = linalg.rank(candidate, p)
-        if r > current_rank:
-            chosen.append(y)
-            columns = candidate
-            current_rank = r
-        if current_rank == classes.ambient_dim:
-            break
-    if current_rank != classes.ambient_dim:
-        raise BasisNotFoundError(
-            f"interval classes span only {current_rank} of {classes.ambient_dim} dimensions"
-        )
-    return BasisSelection(
-        tuple(chosen),
-        {y: classes.classes[y] for y in chosen},
-        current_rank,
+    matrix = _kernels.SparseMatrix(
+        {i: int(v) for i, v in enumerate(classes.classes[y]) if v} for y in order
     )
+    _, dependent = _kernels.rref_inplace(matrix, data.fld.characteristic, track=True)
+    chosen = tuple(y for j, y in enumerate(order) if j not in dependent)
+    if len(chosen) != classes.ambient_dim:
+        raise BasisNotFoundError(
+            f"interval classes span only {len(chosen)} of {classes.ambient_dim} dimensions"
+        )
+    return BasisSelection(chosen, len(chosen))
 
 
 def check_basis_bound(data: _InstanceData):

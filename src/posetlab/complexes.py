@@ -3,14 +3,12 @@
 Complexes are stored by their facets; the full face list is materialized on
 demand and cached (order complexes have few facets but many faces, and desk
 scale keeps the face count manageable).  `faces()` lists the faces one size
-at a time, each size in plain tuple order; the set of faces is built only
-when asked for.  The void complex {()} and the empty complex are
-distinguished: only the void complex is constructible.
+at a time, each size in plain tuple order.  The void complex {()} and the
+empty complex are distinguished: only the void complex is constructible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .errors import (
@@ -29,7 +27,7 @@ def _norm_face(face):
 class SimplicialComplex:
     """Finite abstract simplicial complex on string vertex identifiers."""
 
-    __slots__ = ("name", "_facets", "_vertices", "_faces", "_face_set")
+    __slots__ = ("name", "_facets", "_vertices", "_faces")
 
     def __init__(self, facets, name="complex", _checked=False):
         facet_list = sorted({_norm_face(f) for f in facets}, key=lambda f: (len(f), f))
@@ -39,20 +37,27 @@ class SimplicialComplex:
             if len(set(f)) != len(f):
                 raise PosetLabError(f"facet {f!r} repeats a vertex")
         if not _checked:
+            # A facet's first container in list order is the lowest index,
+            # other than its own, among the facets of its rarest vertex that
+            # hold it; the empty facet lies in every facet.
+            holders = {}
+            for j, f in enumerate(facet_list):
+                for v in f:
+                    holders.setdefault(v, []).append(j)
             for i, f in enumerate(facet_list):
                 fs = set(f)
-                for g in facet_list[i + 1 :]:
-                    if fs < set(g):
-                        raise PosetLabError(
-                            f"facet {f!r} is contained in facet {g!r}; facets must be maximal"
-                        )
+                among = min((holders[v] for v in f), key=len, default=range(len(facet_list)))
+                g = next((j for j in among if j != i and fs.issubset(facet_list[j])), None)
+                if g is not None:
+                    raise PosetLabError(
+                        f"facet {f!r} is contained in facet {facet_list[g]!r}; facets must be maximal"
+                    )
         if len(facet_list) > 1 and () in facet_list:
             raise PosetLabError("the empty face is only a facet of the void complex")
         self.name = name
         self._facets = tuple(facet_list)
         self._vertices = tuple(sorted({v for f in facet_list for v in f}))
         self._faces = None
-        self._face_set = None
 
     @classmethod
     def void(cls, name="void"):
@@ -125,24 +130,10 @@ class SimplicialComplex:
             self._faces = tuple(chain.from_iterable(map(sorted, by_size)))
         return self._faces
 
-    def face_set(self):
-        if self._face_set is None:
-            self._face_set = frozenset(self.faces())
-        return self._face_set
-
-    def has_face(self, face):
-        return _norm_face(face) in self.face_set()
-
     def is_pure(self):
         return len({len(f) for f in self._facets}) == 1
 
     # -- enumerative invariants ---------------------------------------------
-
-    def f_vector(self):
-        counts = [0] * (self.dim + 2)
-        for f in self.faces():
-            counts[len(f)] += 1
-        return FVector(tuple(counts))
 
     def reduced_euler_char(self):
         """Alternating face count; the empty face contributes -1."""
@@ -150,14 +141,22 @@ class SimplicialComplex:
 
     # -- subcomplex constructions -------------------------------------------
 
+    def _holding(self, face):
+        """The sorted face sigma and whether each facet holds it; sigma is a
+        face exactly when some facet does, and never when it repeats a
+        vertex."""
+        sigma = _norm_face(face)
+        ss = set(sigma)
+        holds = [ss <= set(f) for f in self._facets]
+        if len(ss) != len(sigma) or not any(holds):
+            raise FaceNotInComplexError(sigma)
+        return sigma, holds
+
     def link(self, face):
         """Faces tau - sigma over all tau containing sigma."""
-        sigma = _norm_face(face)
-        if not self.has_face(sigma):
-            raise FaceNotInComplexError(sigma)
-        ss = set(sigma)
+        sigma, holds = self._holding(face)
         new_facets = [
-            tuple(v for v in f if v not in ss) for f in self._facets if ss <= set(f)
+            tuple(v for v in f if v not in sigma) for f, h in zip(self._facets, holds) if h
         ]
         return SimplicialComplex(
             new_facets, name=f"link({self.name})", _checked=True
@@ -165,15 +164,12 @@ class SimplicialComplex:
 
     def contrastar(self, face):
         """All faces not containing the given nonempty face."""
-        sigma = _norm_face(face)
-        if not self.has_face(sigma):
-            raise FaceNotInComplexError(sigma)
+        sigma, holds = self._holding(face)
         if not sigma:
             raise EmptyComplexError("contrastar of the empty face removes every face")
-        ss = set(sigma)
         candidates = []
-        for f in self._facets:
-            if not ss <= set(f):
+        for f, h in zip(self._facets, holds):
+            if not h:
                 candidates.append(f)
             else:
                 for v in sigma:
@@ -190,27 +186,6 @@ class SimplicialComplex:
             [tuple(v for v in f if v not in drop) for f in self._facets],
             name=f"{self.name}-vertices",
         )
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts (f_{-1}, f_0, ..., f_{dim}); f_{-1} is always 1."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        if not self.counts or self.counts[0] != 1 or any(c < 0 for c in self.counts):
-            raise PosetLabError(f"malformed f-vector {self.counts!r}")
-
-    def __getitem__(self, i):
-        # Indexed by dimension: self[-1] == f_{-1}.
-        return self.counts[i + 1]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def alternating_sum(self):
-        return sum((-1) ** (i % 2) * c for i, c in enumerate(self.counts, start=-1))
 
 
 # -- order complexes ----------------------------------------------------------

@@ -6,7 +6,6 @@ instances, element identifiers included, so emitted JSON is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import SimplicialComplex
@@ -258,17 +257,6 @@ def points_complex(k: int) -> SimplicialComplex:
     return SimplicialComplex([(f"p{i}",) for i in range(k)], name=f"points-{k}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Name plus parameters; equal specs build identical instances."""
-
-    family: str
-    params: tuple = ()
-
-    def build(self):
-        return make_family(self.family, *self.params)
-
-
 def make_family(family: str, *params):
     """Dispatch a family name to its constructor; returns a poset or complex."""
     if family == "boolean":
@@ -305,45 +293,43 @@ def make_family(family: str, *params):
     raise UnsupportedKindError(family)
 
 
+# The built-in suite as (family, *params) arguments of make_family.
 _SUITE_SPECS = (
-    FamilySpec("boolean", (1,)),
-    FamilySpec("boolean", (2,)),
-    FamilySpec("boolean", (3,)),
-    FamilySpec("boolean", (4,)),
-    FamilySpec("boolean", (5,)),
-    FamilySpec("cube-lattice", (1,)),
-    FamilySpec("cube-lattice", (2,)),
-    FamilySpec("cube-lattice", (3,)),
-    FamilySpec("simplex-boundary", (2,)),
-    FamilySpec("simplex-boundary", (3,)),
-    FamilySpec("simplex-boundary", (4,)),
-    FamilySpec("path", (2,)),
-    FamilySpec("points", (3,)),
-    FamilySpec("cycle", (3,)),
-    FamilySpec("cycle", (4,)),
-    FamilySpec("cycle", (5,)),
-    FamilySpec("cycle", (6,)),
-    FamilySpec("grid", (1, 2)),
-    FamilySpec("grid", (2, 2)),
-    FamilySpec("grid", (2, 3)),
-    FamilySpec("grid", (3, 3)),
-    FamilySpec("cube-boundary", (3,)),
-    FamilySpec("cube-boundary", (4,)),
-    FamilySpec("glued", (2,)),
-    FamilySpec("glued", (3,)),
-    FamilySpec("random-poset", (5, 2, 1)),
-    FamilySpec("random-poset", (6, 2, 2)),
-    FamilySpec("random-poset", (6, 3, 3)),
-    FamilySpec("interval", ("boolean", 3)),
-    FamilySpec("interval", ("cycle", 4)),
-    FamilySpec("interval", ("simplex-boundary", 2)),
+    ("boolean", 1),
+    ("boolean", 2),
+    ("boolean", 3),
+    ("boolean", 4),
+    ("boolean", 5),
+    ("cube-lattice", 1),
+    ("cube-lattice", 2),
+    ("cube-lattice", 3),
+    ("simplex-boundary", 2),
+    ("simplex-boundary", 3),
+    ("simplex-boundary", 4),
+    ("path", 2),
+    ("points", 3),
+    ("cycle", 3),
+    ("cycle", 4),
+    ("cycle", 5),
+    ("cycle", 6),
+    ("grid", 1, 2),
+    ("grid", 2, 2),
+    ("grid", 2, 3),
+    ("grid", 3, 3),
+    ("cube-boundary", 3),
+    ("cube-boundary", 4),
+    ("glued", 2),
+    ("glued", 3),
+    ("random-poset", 5, 2, 1),
+    ("random-poset", 6, 2, 2),
+    ("random-poset", 6, 3, 3),
+    ("interval", "boolean", 3),
+    ("interval", "cycle", 4),
+    ("interval", "simplex-boundary", 2),
 )
 
 
 def suite():
     """The built-in poset suite: deterministic (name, poset) pairs."""
-    out = []
-    for spec in _SUITE_SPECS:
-        poset = spec.build()
-        out.append((poset.name, poset))
-    return out
+    posets = (make_family(*spec) for spec in _SUITE_SPECS)
+    return [(P.name, P) for P in posets]

@@ -39,7 +39,6 @@ class HVectorReport:
     kind: str  # simplicial | toric | cubical | short-cubical
     entries: tuple
     rank: int
-    source: str = ""
 
     def to_dict(self):
         return {"kind": self.kind, "rank": self.rank, "entries": list(self.entries)}
@@ -74,7 +73,7 @@ def simplicial_h(P: FinitePoset) -> HVectorReport:
     """Entries h_0..h_d of the simplicial h-vector of a simplicial poset."""
     poly = simplicial_h_polynomial(P)
     d = _graded_rank(P)
-    return HVectorReport("simplicial", poly.padded(d + 1), d, P.name)
+    return HVectorReport("simplicial", poly.padded(d + 1), d)
 
 
 # -- toric --------------------------------------------------------------------
@@ -159,7 +158,7 @@ def toric_h(P: FinitePoset) -> HVectorReport:
     powers = [Q_MINUS_ONE ** (d - r) for r in range(d + 1)]
     total = _grouped_sum(((ranks[y], g.coeffs) for y, (_, g) in polys.items()), powers)
     coeffs = total.padded(d + 1)
-    return HVectorReport("toric", tuple(reversed(coeffs)), d, P.name)
+    return HVectorReport("toric", tuple(reversed(coeffs)), d)
 
 
 def toric_h_penultimate_direct(P: FinitePoset) -> int:
@@ -207,7 +206,7 @@ def short_cubical_h(P: FinitePoset) -> HVectorReport:
     """Entries h^sc_0..h^sc_{d-1}; length d by construction."""
     poly = short_cubical_h_polynomial(P)
     d = _graded_rank(P)
-    return HVectorReport("short-cubical", poly.padded(d), d, P.name)
+    return HVectorReport("short-cubical", poly.padded(d), d)
 
 
 def cubical_h(P: FinitePoset) -> HVectorReport:
@@ -225,7 +224,7 @@ def cubical_h(P: FinitePoset) -> HVectorReport:
         + IntPolynomial.monomial(d + 1, (-2) ** (d - 1) * chi)
     )
     quotient = dividend.divide_exact(ONE_PLUS_Q)
-    return HVectorReport("cubical", quotient.padded(d + 1), d, P.name)
+    return HVectorReport("cubical", quotient.padded(d + 1), d)
 
 
 def cubical_h_penultimate_direct(P: FinitePoset) -> int:

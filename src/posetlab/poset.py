@@ -33,10 +33,19 @@ from .errors import (
     PosetLabError,
     RankCollapseError,
     RedundantCoverError,
+    SizeLimitError,
     UnknownElementError,
 )
 
 _NO_CHAIN = -1
+# Every poset holds an n x n order matrix and a Möbius table of 8n^2 bytes,
+# so a poset file or an interval poset over this many elements is refused.
+MAX_ELEMENTS = 4096
+
+
+def _check_size(what, n):
+    if n > MAX_ELEMENTS:
+        raise SizeLimitError(f"{what} of {n} elements", f"{MAX_ELEMENTS} elements")
 
 
 class FinitePoset:
@@ -67,6 +76,7 @@ class FinitePoset:
         elements = list(elements)
         if not elements:
             raise EmptyPosetError("a poset needs at least one element")
+        _check_size("a poset", len(elements))
         index = {e: i for i, e in enumerate(elements)}
         if len(index) < len(elements):
             seen = set()
@@ -255,13 +265,9 @@ class FinitePoset:
         mask[ix] = mask[iy] = False
         return tuple(self._elements[i] for i in np.flatnonzero(mask))
 
-    def upset(self, x, strict=False):
-        """The subposet on {y : x <= y} (or x < y when strict)."""
-        ix = self.index(x)
-        mask = self._leq[ix].copy()
-        if strict:
-            mask[ix] = False
-        members = [self._elements[i] for i in np.flatnonzero(mask)]
+    def upset(self, x):
+        """The subposet on {y : x <= y}."""
+        members = [self._elements[i] for i in np.flatnonzero(self._leq[self.index(x)])]
         return self.induced(members, name=f"{self.name}>={x}")
 
     def dual(self):
@@ -275,10 +281,10 @@ class FinitePoset:
             e += "'"
         return e
 
-    def attach_min(self, label="0^"):
-        """Adjoin a new minimum element below everything."""
+    def attach_min(self):
+        """Adjoin a new minimum element, "0^" primed until it is fresh."""
         n = len(self)
-        bot = self._fresh_id(label)
+        bot = self._fresh_id("0^")
         leq = np.zeros((n + 1, n + 1), dtype=bool)
         leq[1:, 1:] = self._leq
         leq[0, :] = True
@@ -313,6 +319,7 @@ class FinitePoset:
         """Nonempty closed intervals [x, y], ordered by containment."""
         n = len(self)
         leq = self._leq
+        _check_size("an interval poset", int(np.count_nonzero(leq)))
         pairs = [(i, j) for i in range(n) for j in range(n) if leq[i, j]]
         lo = np.array([i for i, _ in pairs])
         hi = np.array([j for _, j in pairs])
@@ -557,9 +564,6 @@ class MobiusTable:
             raise NotComparableError(x, y)
         return int(self._values[i, j])
 
-    def __getitem__(self, pair):
-        return self.mu(*pair)
-
     def items(self):
         """((x, y), mu(x, y)) over the pairs x <= y, ordered by the name of
         x, then of y: a lexsort on the ranks of the names."""
@@ -624,24 +628,6 @@ def reduced_euler_char(P: FinitePoset) -> int:
     return -sum(row.values())
 
 
-def _mobius_row(P: FinitePoset, i, within) -> np.ndarray:
-    """mu(i, .) in the subposet on `within`, a boolean mask that holds i, as
-    one row, 0 off the up-set of i in it: in topological order,
-    mu(i, j) = -sum of mu(i, z) over z < j, as in `mobius`, int64 until a
-    value passes the guard and Python ints from there on."""
-    leq = P.leq_matrix
-    above = leq[i] & within
-    guard = _INT64_GUARD // max(len(P), 1)
-    row = np.zeros(len(P), dtype=np.int64)
-    row[i] = 1
-    for j in P._topo:
-        if above[j] and j != i:
-            row[j] = value = -row[leq[:, j]].sum()
-            if row.dtype != object and abs(value) > guard:
-                row = row.astype(object)
-    return row
-
-
 def rank_alternating_sum(P: FinitePoset) -> int:
     """Signed count of elements by rank; the minimum contributes -1."""
     if not P.has_minimum:
@@ -701,21 +687,7 @@ def atoms_below(P: FinitePoset, y) -> int:
     return sum(1 for a in P.atoms() if P.leq_matrix[P.index(a), iy])
 
 
-def min_atoms_below(P: FinitePoset) -> int:
-    """Minimum of atoms_below over the maximal elements."""
-    P.minimum()
-    return min(atoms_below(P, y) for y in P.maximal_elements())
-
-
 # -- structural predicates ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructuralPredicates:
-    is_meet_semilattice: bool
-    is_simplicial: bool
-    is_cubical: bool
-    is_graded: bool
 
 
 def is_meet_semilattice(P: FinitePoset) -> bool:
@@ -818,15 +790,6 @@ def is_cubical_poset(P: FinitePoset) -> bool:
     if "cubical" not in P._cache:
         P._cache["cubical"] = _all_lower_intervals(P, _cube_interval)
     return P._cache["cubical"]
-
-
-def structural_predicates(P: FinitePoset) -> StructuralPredicates:
-    P.minimum()
-    meet = is_meet_semilattice(P)
-    graded, _ = is_graded(P)
-    return StructuralPredicates(
-        meet, is_simplicial_poset(P), is_cubical_poset(P), graded
-    )
 
 
 # -- serialization -----------------------------------------------------------

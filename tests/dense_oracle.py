@@ -53,16 +53,16 @@ class NotASubcomplexError(PosetLabError):
 
 
 def is_subcomplex(sub, ambient):
-    amb = ambient.face_set()
+    amb = frozenset(ambient.faces())
     return all(f in amb for f in sub.facets)
 
 
 def relative_chain_complex(delta, gamma, fld):
     """Quotient complex on the faces of delta that are not in gamma."""
     if not is_subcomplex(gamma, delta):
-        missing = next(f for f in gamma.facets if f not in delta.face_set())
+        missing = next(f for f in gamma.facets if f not in frozenset(delta.faces()))
         raise NotASubcomplexError(missing)
-    gamma_faces = gamma.face_set()
+    gamma_faces = frozenset(gamma.faces())
     faces = _by_degree(tuple(f for f in delta.faces() if f not in gamma_faces))
     return ChainComplexRep(faces or {0: ()}, fld.characteristic)
 

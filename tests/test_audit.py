@@ -1,9 +1,15 @@
 import hashlib
 import json
 import os
+import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import dense_oracle
+from conftest import drawn_poset
+from poset_oracle import mobius_row
 from posetlab import homology
 from posetlab.audit import (
     FAIL,
@@ -17,7 +23,7 @@ from posetlab.audit import (
 )
 from posetlab.cli import main
 from posetlab.complexes import order_complex
-from posetlab.errors import EmptyPosetError
+from posetlab.errors import BasisNotFoundError, EmptyPosetError
 from posetlab.generators import (
     boolean_lattice,
     cubical_complex_poset,
@@ -309,3 +315,74 @@ def test_suite_audit_builds_no_interval_poset_and_no_qbar_face_ranks(monkeypatch
         assert ranked == [(x,) for x in sorted(P.atoms())], P.name
         qualifying += 1
     assert qualifying == 28
+
+
+def chi_r_oracle(P):
+    """chi(R) of R = P minus its maximal elements and its atoms, built as a
+    poset: minus the sum of R's own Möbius row from the minimum."""
+    drop = set(P.maximal_elements()) | set(P.atoms())
+    R = P.induced([x for x in P.elements if x not in drop])
+    return -sum(mobius_row(R, R.index(R.minimum())))
+
+
+def test_chi_r_from_the_atom_identity_matches_the_subposet_row():
+    """chi(R) read off P's Möbius table by the atom identity equals the
+    recurrence on R built as a poset, with no Eulerian or CM hypothesis."""
+    chain = build_from_covers(["0", "a", "b", "c"], [("0", "a"), ("a", "b"), ("b", "c")], name="chain-4")
+    posets = [P for _, P in suite()] + [drawn_poset(seed) for seed in range(40)]
+    posets += drawn_qualifying_posets() + [chain]
+    seen = set()
+    for P in posets:
+        data = _InstanceData(P, FieldSpec())
+        assert data.chi_r == chi_r_oracle(P), P.name
+        if data.qualifies:
+            seen.add("qualifies")
+        seen.update(kind for kind, flag in (("not CM", data.cm), ("not lower Eulerian", data.lower_eulerian)) if not flag)
+        seen.add(f"rank {min(data.rank, 3)}" if data.graded else "ungraded")
+    assert seen == {"qualifies", "not CM", "not lower Eulerian", "rank 1", "rank 2", "rank 3", "ungraded"}
+
+
+def greedy_rank_loop(classes, p, reverse=False):
+    """The greedy basis by one dense rank per candidate: (chosen, rank)."""
+    chosen, current = [], 0
+    for y in sorted(classes.classes, reverse=reverse):
+        r = dense_oracle.rank(np.column_stack([classes.classes[x] for x in chosen + [y]]), p)
+        if r > current:
+            chosen.append(y)
+            current = r
+        if current == classes.ambient_dim:
+            break
+    return tuple(chosen), current
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_select_basis_matches_the_rank_loop(p):
+    """One column reduction picks the elements the rank-per-candidate loop
+    picks, in both orders: on the qualifying instances and on drawn classes
+    with repeated and dependent columns, where the loop stops short of a
+    basis and `select_basis` refuses with the span it reached."""
+    fld = FieldSpec(p)
+    posets = [P for _, P in suite()] + drawn_qualifying_posets()
+    instances = [data.interval_classes for data in qualifying_rank_two_or_more(posets, fld)]
+    rng = random.Random(p)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        pool = [np.array([rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(dim)]) for _ in range(rng.randint(1, 3))]
+        vectors = [sum(rng.randrange(p) * v for v in pool) % p for _ in range(rng.randint(1, 6))]
+        instances.append(homology.MaximalIntervalClasses(dim, {f"y{i}": v for i, v in enumerate(vectors)}))
+    spans = set()
+    for classes in instances:
+        for reverse in (False, True):
+            want, rank = greedy_rank_loop(classes, p, reverse)
+            data = SimpleNamespace(interval_classes=classes, fld=fld)
+            if rank == classes.ambient_dim:
+                selection = select_basis(data, reverse=reverse)
+                assert (selection.chosen, selection.certificate_rank) == (want, rank)
+                spans.add("basis")
+            else:
+                with pytest.raises(BasisNotFoundError) as exc:
+                    select_basis(data, reverse=reverse)
+                assert str(exc.value) == f"interval classes span only {rank} of {classes.ambient_dim} dimensions"
+                spans.add("short")
+    assert spans == {"basis", "short"}
+

@@ -265,6 +265,20 @@ def test_generate_names_the_range_of_a_small_value(capsys, params, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_oversized_posets_are_refused_at_once(tmp_path, capsys):
+    """A 30,000-element antichain file and the interval poset of the
+    6-cube's face lattice exit 2 with the element bound named, without a
+    traceback or the n x n order matrix."""
+    f = tmp_path / "antichain.json"
+    f.write_text(json.dumps({"name": "wide", "elements": [f"a{i}" for i in range(30000)], "covers": []}))
+    start = time.perf_counter()
+    assert run_cli("compute", "psi", str(f)) == 2
+    assert capsys.readouterr() == ("", "error: a poset of 30000 elements exceeds the size guard (4096 elements)\n")
+    assert run_cli("generate", "interval", "cube-lattice", "6") == 2
+    assert capsys.readouterr() == ("", "error: an interval poset of 15625 elements exceeds the size guard (4096 elements)\n")
+    assert time.perf_counter() - start < 10
+
+
 def test_generate_rejects_wrong_parameter_counts(capsys):
     assert run_cli("generate", "grid", "2") == 2
     assert run_cli("generate", "boolean") == 2

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,12 @@ def full_triangle():
     return SimplicialComplex([("a", "b", "c")])
 
 
+def f_vector(c):
+    """Face counts (f_{-1}, f_0, ..., f_{dim}) from the listed faces."""
+    sizes = [len(f) for f in c.faces()]
+    return tuple(sizes.count(k) for k in range(c.dim + 2))
+
+
 # -- construction ----------------------------------------------------------------
 
 
@@ -54,6 +61,60 @@ def test_void_versus_empty():
 def test_non_maximal_facet_rejected():
     with pytest.raises(PosetLabError):
         SimplicialComplex([("a", "b"), ("a",)])
+
+
+def facet_list_error(facets):
+    """The message `SimplicialComplex` gives a facet list, or None, as its
+    pairwise maximality loop gave it: the first facet in (length, vertices)
+    order that lies in another, named with its first container."""
+    facet_list = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
+    if not facet_list:
+        return "a complex must contain at least the empty face"
+    for f in facet_list:
+        if len(set(f)) != len(f):
+            return f"facet {f!r} repeats a vertex"
+    for i, f in enumerate(facet_list):
+        for g in facet_list[i + 1 :]:
+            if set(f) < set(g):
+                return f"facet {f!r} is contained in facet {g!r}; facets must be maximal"
+    if len(facet_list) > 1 and () in facet_list:
+        return "the empty face is only a facet of the void complex"
+    return None
+
+
+def test_facet_check_matches_the_pairwise_loop():
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(2000):
+        facets = drawn_faces(rng)[: rng.choice((0, 1, 2, 4, 30))]
+        if rng.random() < 0.1:
+            v = rng.choice([v for f in facets for v in f] or ["v0"])
+            facets.append([v, v])
+        want = facet_list_error(facets)
+        try:
+            SimplicialComplex(facets)
+            got = None
+        except PosetLabError as exc:
+            got = str(exc)
+        assert got == want, facets
+        seen.add(None if want is None else "facet ()" if want.startswith("facet ()") else want.split()[-1])
+    assert seen == {None, "face", "vertex", "maximal", "facet ()"}
+
+
+def test_facet_files_load_in_linear_time():
+    """32,000 random triangles on 3,000 vertices and a cone over a
+    50,000-edge path; the pairwise loop took several seconds at 8,000
+    triangles and grows quadratically."""
+    rng = random.Random(7)
+    names = [f"v{i}" for i in range(3000)]
+    triangles = {tuple(sorted(rng.sample(names, 3))) for _ in range(32000)}
+    cone = [("apex", f"p{i}", f"p{i + 1}") for i in range(50000)]
+    start = time.perf_counter()
+    assert len(SimplicialComplex(triangles).facets) == len(triangles)
+    assert len(SimplicialComplex(cone).facets) == 50000
+    assert time.perf_counter() - start < 15
+    with pytest.raises(PosetLabError, match="facet \\('apex', 'p7'\\) is contained in facet \\('apex', 'p6', 'p7'\\)"):
+        SimplicialComplex(cone + [("apex", "p7")])
 
 
 def test_from_faces_keeps_maximal():
@@ -160,7 +221,7 @@ def test_order_complex_f_vector_of_truncated_boolean_lattice():
     for chain in chains:
         by_size[len(chain)] = by_size.get(len(chain), 0) + 1
     assert by_size == {0: 1, 1: 7, 2: 12, 3: 6}
-    assert c.f_vector().counts == (1, 7, 12, 6)
+    assert f_vector(c) == (1, 7, 12, 6)
     assert c.reduced_euler_char() == 0  # cone over the top element
 
 
@@ -212,7 +273,6 @@ def test_faces_come_in_size_then_vertex_order():
         c = SimplicialComplex.from_faces(facets)
         every = {s for f in c.facets for k in range(len(f) + 1) for s in combinations(f, k)}
         assert c.faces() == tuple(sorted(every, key=lambda s: (len(s), s)))
-        assert c.face_set() == frozenset(every)
 
 
 def test_open_interval_complex_of_cover_is_void():
@@ -229,12 +289,12 @@ def test_reduced_euler_characteristics():
     assert triangle_boundary().reduced_euler_char() == -1
     tetra = simplex_boundary_complex(3)
     assert tetra.reduced_euler_char() == 1
-    assert tetra.f_vector().counts == (1, 4, 6, 4)
+    assert f_vector(tetra) == (1, 4, 6, 4)
 
 
 def test_f_vector_alternating_sum_matches_euler_char():
     for c in (triangle_boundary(), full_triangle(), simplex_boundary_complex(3)):
-        assert c.f_vector().alternating_sum() == c.reduced_euler_char()
+        assert sum((-1) ** (i % 2) * n for i, n in enumerate(f_vector(c), start=-1)) == c.reduced_euler_char()
 
 
 # -- subcomplex constructions ----------------------------------------------------------
@@ -253,6 +313,32 @@ def test_link_of_empty_face_is_whole_complex():
 def test_link_requires_member_face():
     with pytest.raises(FaceNotInComplexError):
         triangle_boundary().link(("a", "b", "c"))
+
+
+def test_link_and_contrastar_refuse_what_no_facet_holds():
+    """A face is what some facet holds; a tuple that repeats a vertex is
+    never one, though a facet holds its vertex set."""
+    c = triangle_boundary()
+    for bad in (("a", "b", "c"), ("d",), ("a", "a"), ("b", "a", "a")):
+        for op in (c.link, c.contrastar):
+            with pytest.raises(FaceNotInComplexError) as exc:
+                op(bad)
+            assert str(exc.value) == f"face {sorted(bad)!r} is not in the complex"
+    assert c.link(("b", "a")).is_void and c.link(()) == c
+    rng = random.Random(3)
+    for _ in range(200):
+        c = SimplicialComplex.from_faces(drawn_faces(rng))
+        faces = frozenset(c.faces())
+        sigma = tuple(rng.choices(c.vertices + ("w",), k=rng.randint(0, 3)))
+        if tuple(sorted(sigma)) in faces:
+            assert c.link(sigma).facets == maximal_faces(
+                [tuple(v for v in f if v not in sigma) for f in c.facets if set(sigma) <= set(f)]
+            )
+        else:
+            with pytest.raises(FaceNotInComplexError):
+                c.link(sigma)
+            with pytest.raises(FaceNotInComplexError):
+                c.contrastar(sigma)
 
 
 def test_contrastar_in_full_triangle():
@@ -281,7 +367,7 @@ def test_star_and_contrastar_partition_facets():
             cost = c.contrastar(sigma)
             for facet in c.facets:
                 contains = set(sigma) <= set(facet)
-                assert contains != (facet in cost.face_set())
+                assert contains != (facet in cost.faces())
 
 
 def test_delete_vertices():

@@ -5,7 +5,6 @@ import pytest
 from posetlab.complexes import complex_to_dict
 from posetlab.errors import SizeLimitError, UnsupportedKindError
 from posetlab.generators import (
-    FamilySpec,
     XorShift64Star,
     boolean_lattice,
     cube_face_lattice,
@@ -110,9 +109,9 @@ def test_random_subcomplex_never_empty():
         assert len(c.facets) >= 1
 
 
-def test_family_spec_reproducible():
-    spec = FamilySpec("grid", (2, 3))
-    assert poset_to_dict(spec.build()) == poset_to_dict(spec.build())
+def test_make_family_reproducible():
+    spec = ("grid", 2, 3)
+    assert poset_to_dict(make_family(*spec)) == poset_to_dict(make_family(*spec))
 
 
 def test_suite_contents():

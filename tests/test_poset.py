@@ -15,6 +15,7 @@ from posetlab.errors import (
     NotLocallyGradedError,
     RankCollapseError,
     RedundantCoverError,
+    SizeLimitError,
     UnknownElementError,
 )
 from posetlab.generators import (
@@ -26,12 +27,15 @@ from posetlab.generators import (
     simplicial_poset_glue,
 )
 from posetlab.poset import (
+    MAX_ELEMENTS,
     FinitePoset,
     atoms_below,
     build_from_covers,
+    is_cubical_poset,
     is_graded,
     is_lower_eulerian,
-    min_atoms_below,
+    is_meet_semilattice,
+    is_simplicial_poset,
     mobius,
     mobius_from,
     poset_from_dict,
@@ -39,7 +43,6 @@ from posetlab.poset import (
     rank_alternating_sum,
     rank_profile,
     reduced_euler_char,
-    structural_predicates,
 )
 
 
@@ -282,12 +285,10 @@ def test_upset_of_cycle_vertex():
 
 def test_atom_counts():
     c4 = cubical_complex_poset("cycle", 4)
-    assert min_atoms_below(c4) == 2  # 2^(d-1) with d = 2
-    assert all(atoms_below(c4, y) == 2 for y in c4.maximal_elements())
-    assert min_atoms_below(boolean_lattice(3)) == 3
+    assert all(atoms_below(c4, y) == 2 for y in c4.maximal_elements())  # 2^(d-1) with d = 2
+    assert atoms_below(boolean_lattice(3), "123") == 3
     tri = face_poset_of_complex(simplex_boundary_complex(2))
     assert all(atoms_below(tri, y) == 2 for y in tri.maximal_elements())
-    assert min_atoms_below(tri) == 2
 
 
 def test_remove_maximal_and_atoms():
@@ -359,26 +360,25 @@ def test_min_attached_interval_poset_is_lower_eulerian():
 
 
 def test_boolean_4_predicates():
-    preds = structural_predicates(boolean_lattice(4))
-    assert preds.is_simplicial and preds.is_meet_semilattice and preds.is_graded
+    B4 = boolean_lattice(4)
+    assert is_simplicial_poset(B4) and is_meet_semilattice(B4) and is_graded(B4)[0]
 
 
 def test_cycle_poset_is_cubical_meet_semilattice():
-    preds = structural_predicates(cubical_complex_poset("cycle", 4))
-    assert preds.is_cubical and preds.is_meet_semilattice
+    c4 = cubical_complex_poset("cycle", 4)
+    assert is_cubical_poset(c4) and is_meet_semilattice(c4)
 
 
 def test_glued_simplicial_poset_is_not_meet_semilattice():
     glued = simplicial_poset_glue("two-facets-shared-boundary", 2)
-    preds = structural_predicates(glued)
-    assert preds.is_simplicial
-    assert not preds.is_meet_semilattice
-    assert not preds.is_cubical
+    assert is_simplicial_poset(glued)
+    assert not is_meet_semilattice(glued)
+    assert not is_cubical_poset(glued)
 
 
 def test_cube_lattices_are_cubical():
     for n in (1, 2, 3):
-        assert structural_predicates(cube_face_lattice(n)).is_cubical
+        assert is_cubical_poset(cube_face_lattice(n))
 
 
 def test_graded_detection():
@@ -427,10 +427,9 @@ def test_refinement_resistant_impostor_is_not_cubical():
     digon = digon_pair_lattice()
     assert is_lower_eulerian(digon)
     assert not posets_isomorphic(digon, cube_face_lattice(2))
-    preds = structural_predicates(digon)
-    assert not preds.is_cubical
-    assert not preds.is_simplicial
-    assert not preds.is_meet_semilattice  # two edges share both endpoints
+    assert not is_cubical_poset(digon)
+    assert not is_simplicial_poset(digon)
+    assert not is_meet_semilattice(digon)  # two edges share both endpoints
 
 
 def test_fresh_ids_avoid_collisions():
@@ -440,6 +439,24 @@ def test_fresh_ids_avoid_collisions():
     assert len(set(hat.elements)) == 3
     both = hat.attach_min()
     assert len(set(both.elements)) == 4
+
+
+def test_element_bound_refuses_posets_and_interval_posets():
+    """Both refusals come before any n x n matrix: a cover list over the
+    bound, and an interval poset whose comparable pairs pass it."""
+    names = [f"a{i}" for i in range(MAX_ELEMENTS + 1)]
+    with pytest.raises(SizeLimitError) as exc:
+        build_from_covers(names, [])
+    assert str(exc.value) == "a poset of 4097 elements exceeds the size guard (4096 elements)"
+    assert len(build_from_covers(names[:-1], [])) == MAX_ELEMENTS
+
+    def chain(k):
+        return build_from_covers([str(i) for i in range(k)], [(str(i), str(i + 1)) for i in range(k - 1)])
+
+    with pytest.raises(SizeLimitError) as exc:
+        chain(91).interval_poset()  # 91 * 92 / 2 intervals
+    assert str(exc.value) == "an interval poset of 4186 elements exceeds the size guard (4096 elements)"
+    assert len(chain(12).interval_poset()) == 78
 
 
 def test_interval_poset_label_fallback():
@@ -475,29 +492,6 @@ def test_exact_mobius_row_matches_fast_path(monkeypatch):
     assert exact.dtype == object
     assert [exact[i].tolist() for i in range(len(P))] == [mobius_row(P, i) for i in range(len(P))]
     assert mobius(P).mu("0", "m") == 3
-
-
-def test_mobius_row_switches_to_python_ints_past_the_guard(monkeypatch):
-    """The row mu(0^, .) that the audit reads chi(R) from is summed in
-    Python ints once a value passes the guard, and equals the table's."""
-    from posetlab import poset as poset_module
-
-    # Here mu(0, m) = 3 passes a guard of 2 halfway up, and mu(0, t) is
-    # summed in Python ints.
-    atoms = ["a1", "a2", "a3", "a4"]
-    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms] + [("m", "t")]
-    P = build_from_covers(["0", *atoms, "m", "t"], covers)
-    monkeypatch.setattr(poset_module, "_INT64_GUARD", 2 * len(P))
-    row = poset_module._mobius_row(P, P.index("0"), np.ones(len(P), dtype=bool))
-    assert row.dtype == object
-    assert row.tolist() == mobius_row(P, P.index("0"))
-
-
-def test_strict_upset():
-    c4 = cubical_complex_poset("cycle", 4)
-    up = c4.upset("v0", strict=True)
-    assert len(up) == 2
-    assert set(up.elements) == {"v0|v1", "v0|v3"}
 
 
 def test_posets_isomorphic():
