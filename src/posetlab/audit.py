@@ -1,10 +1,20 @@
 """Mechanical instance-level verification of the package's headline
 inequality, the identities feeding it, and the truncation structure results.
 
-Every check record stores the values both sides evaluated to, so each verdict
-can be recomputed from the report alone.  Hypothesis checks always run first
-and failed hypotheses downgrade dependent checks to "inapplicable" rather
-than letting them pass vacuously.
+A record is one of three kinds, each built in one place:
+- a hypothesis (`_hypothesis_record`): "pass" when it holds, else
+  "inapplicable" with a witness, since an instance outside a statement's
+  scope is not a failure;
+- a comparison (`_compare`): the values both sides evaluated to and "pass"
+  or "fail" by the check's relation between them, so each verdict can be
+  recomputed from the report alone;
+- an inapplicable check (`_na`): no sides, and the reason as its witness.
+
+Hypothesis checks always run first, and failed hypotheses downgrade
+dependent checks to "inapplicable" rather than letting them pass vacuously.
+One scope rule, `_out_of_scope`, names the reason for the statements that
+need the minimum, the lower Eulerian, Cohen-Macaulay and graded hypotheses
+and a least rank.
 """
 
 from __future__ import annotations
@@ -84,14 +94,6 @@ class AuditReport:
         }
 
 
-@dataclass(frozen=True)
-class BasisSelection:
-    """Greedily chosen maximal elements whose interval classes form a basis."""
-
-    chosen: tuple
-    certificate_rank: int
-
-
 class _InstanceData:
     """Shared per-instance facts: hypotheses, Möbius values, atom counts, link scans."""
 
@@ -99,15 +101,11 @@ class _InstanceData:
         self.P = P
         self.fld = fld
         self.has_min = P.has_minimum
+        self.graded, self.rank = is_graded(P)
+        self.meet = is_meet_semilattice(P)
         if not self.has_min:
-            self.lower_eulerian = False
-            self.le_witness = "no minimum element"
-            self.cm = False
-            self.cm_witness = "no minimum element"
-            self.graded, self.rank = is_graded(P)
-            self.simplicial = self.cubical = False
-            self.meet = is_meet_semilattice(P)
-            self.qualifies = False
+            self.lower_eulerian = self.cm = self.simplicial = self.cubical = False
+            self.le_witness = self.cm_witness = "no minimum element"
             return
         verdict = is_lower_eulerian(P)
         self.lower_eulerian = bool(verdict)
@@ -115,11 +113,8 @@ class _InstanceData:
         # Δ(P̄) and Δ(Q̄) are scanned from one memo of interval homology.
         self.pbar = poset_scan(P, fld)
         self.cm, self.cm_witness = self.pbar.cohen_macaulay()
-        self.graded, self.rank = is_graded(P)
         self.simplicial = is_simplicial_poset(P)
         self.cubical = is_cubical_poset(P)
-        self.meet = is_meet_semilattice(P)
-        self.qualifies = self.lower_eulerian and self.cm and self.graded
 
         # mu(x, top) in P with a top attached is -(sum of mu(x, z) over z >= x).
         self.atoms = sorted(P.atoms())
@@ -176,46 +171,23 @@ class _InstanceData:
         return cubical_h(self.P).entries
 
 
-def _na(check_id, anchor, reason):
-    return CheckRecord(check_id, anchor, None, None, INAPPLICABLE, witness=reason)
-
-
-def _skip_reason(data):
-    reasons = []
+def _out_of_scope(data, min_rank):
+    """Why a statement on lower Eulerian Cohen-Macaulay graded posets of rank
+    at least `min_rank` does not apply to the instance; None when it does."""
     if not data.has_min:
-        reasons.append("no minimum")
-    else:
-        if not data.lower_eulerian:
-            reasons.append("not lower Eulerian")
-        if not data.cm:
-            reasons.append("not Cohen-Macaulay")
-        if not data.graded:
-            reasons.append("not graded")
-    return ", ".join(reasons) or None
-
-
-ANCHOR_MAIN = "sum over atoms of |mu(x, top)| >= alphaP * |mu(bottom, top)| in the max-attached poset"
-ANCHOR_SIGN = "(-1)^d * mu(x, top) >= 0 for every atom x"
-ANCHOR_DECOMP = (
-    "sum|mu(x,top)| - alphaP|mu(bottom,top)| == "
-    "(alphaP-1)|chi(Q)| - |chi(R)| + sum over maximal y of (alpha(y)-alphaP)"
-)
-ANCHOR_STEP = (
-    "sum over atoms x of Q, y >= x in Q of (-1)^(rank(y)-1) == chi(Q) - chi(R)"
-)
-ANCHOR_INTERVAL_ROUTE = (
-    "rank alternating sums of the min-attached interval posets of Q-bar and "
-    "R-bar equal chi(Q) and chi(R)"
-)
-ANCHOR_BASIS_SIZE = "|B| == top Betti number of the doubly truncated order complex == |chi(Q)|"
-ANCHOR_SUFF = "|chi(R)| <= sum over y in B of (alpha(y) - 1)"
-ANCHOR_ORDER = "the bound verdict is unchanged under reversed greedy order"
-ANCHOR_MAINS = (
-    "simplicial h_{d-1} == (-1)^d sum_atoms mu(x,top) - d*(-1)^(d+1) mu(bottom,top)"
-)
-ANCHOR_MAINC = (
-    "cubical h_{d-1} == (-1)^d sum_atoms mu(x,top) - 2^(d-1)*(-1)^(d+1) mu(bottom,top)"
-)
+        return "no minimum"
+    failed = [
+        reason
+        for holds, reason in (
+            (data.lower_eulerian, "not lower Eulerian"),
+            (data.cm, "not Cohen-Macaulay"),
+            (data.graded, "not graded"),
+        )
+        if not holds
+    ]
+    if failed:
+        return ", ".join(failed)
+    return f"rank below {min_rank}" if data.rank < min_rank else None
 
 
 def _hypothesis_record(check_id, anchor, holds, witness=None):
@@ -223,13 +195,56 @@ def _hypothesis_record(check_id, anchor, holds, witness=None):
     # is simply outside the statement's scope, so the record (and everything
     # depending on it) reads "inapplicable".
     return CheckRecord(
-        check_id,
-        anchor,
-        bool(holds),
-        True,
-        PASS if holds else INAPPLICABLE,
-        witness=witness if not holds else None,
+        check_id, anchor, bool(holds), True, PASS if holds else INAPPLICABLE, witness=None if holds else witness
     )
+
+
+def _compare(check_id, anchor, lhs, rhs, holds, witness=None):
+    """The record of a relation between two computed sides; the witness is
+    kept only when the relation fails."""
+    return CheckRecord(check_id, anchor, lhs, rhs, PASS if holds else FAIL, witness=None if holds else witness)
+
+
+def _na(check_id, anchor, reason):
+    return CheckRecord(check_id, anchor, None, None, INAPPLICABLE, witness=reason)
+
+
+# Each check as its (id, anchor) pair.
+MAIN = ("main-inequality", "sum over atoms of |mu(x, top)| >= alphaP * |mu(bottom, top)| in the max-attached poset")
+SIGN = ("atom-sign", "(-1)^d * mu(x, top) >= 0 for every atom x")
+DECOMPOSITION = (
+    "mobius-decomposition",
+    "sum|mu(x,top)| - alphaP|mu(bottom,top)| == "
+    "(alphaP-1)|chi(Q)| - |chi(R)| + sum over maximal y of (alpha(y)-alphaP)",
+)
+STEP = ("truncation-alternating-sum", "sum over atoms x of Q, y >= x in Q of (-1)^(rank(y)-1) == chi(Q) - chi(R)")
+INTERVAL_ROUTE = (
+    "interval-poset-route",
+    "rank alternating sums of the min-attached interval posets of Q-bar and R-bar equal chi(Q) and chi(R)",
+)
+BASIS_SIZE = ("basis-size", "|B| == top Betti number of the doubly truncated order complex == |chi(Q)|")
+BASIS_BOUND = ("basis-deficiency-bound", "|chi(R)| <= sum over y in B of (alpha(y) - 1)")
+BASIS_ORDER = ("basis-order-independence", "the bound verdict is unchanged under reversed greedy order")
+SIMPLICIAL_IDENTITY = (
+    "simplicial-penultimate-identity",
+    "simplicial h_{d-1} == (-1)^d sum_atoms mu(x,top) - d*(-1)^(d+1) mu(bottom,top)",
+)
+CUBICAL_IDENTITY = (
+    "cubical-penultimate-identity",
+    "cubical h_{d-1} == (-1)^d sum_atoms mu(x,top) - 2^(d-1)*(-1)^(d+1) mu(bottom,top)",
+)
+INTERVALS_DOUBLY_CM = (
+    "hypothesis-interval-doubly-cm",
+    "every open interval below a maximal element is doubly Cohen-Macaulay",
+)
+PBAR_BUCHSBAUM = ("hypothesis-truncation-buchsbaum", "the order complex minus the minimum is Buchsbaum")
+QBAR_DOUBLY_CM = ("truncation-doubly-cm", "the doubly truncated order complex is doubly Cohen-Macaulay")
+QBAR_BUCHSBAUM_STAR = ("truncation-buchsbaum-star", "the doubly truncated order complex is Buchsbaum*")
+ATOM_LINKS = ("atom-link-surjectivity", "top homology surjects onto every minimal-vertex link one degree down")
+TRANSVERSAL = (
+    "facet-transversal-deletion",
+    "every facet meets the maximal elements once; deleting them yields the truncated order complex",
+)
 
 
 def check_hypotheses(data: _InstanceData):
@@ -257,82 +272,43 @@ def check_hypotheses(data: _InstanceData):
 
 def check_main_inequality(data: _InstanceData):
     if not (data.has_min and data.lower_eulerian and data.cm):
-        reason = _skip_reason(data)
-        return [_na("main-inequality", ANCHOR_MAIN, reason), _na("atom-sign", ANCHOR_SIGN, reason)]
+        reason = _out_of_scope(data, 0)
+        return [_na(*MAIN, reason), _na(*SIGN, reason)]
     lhs = sum(abs(v) for v in data.atom_mu.values())
     rhs = data.alpha_min * abs(data.mu_bottom_top)
-    recs = [
-        CheckRecord(
-            "main-inequality", ANCHOR_MAIN, lhs, rhs, PASS if lhs >= rhs else FAIL
-        )
-    ]
+    main = _compare(*MAIN, lhs, rhs, lhs >= rhs)
     if not data.graded:
-        recs.append(_na("atom-sign", ANCHOR_SIGN, "not graded"))
-        return recs
-    d = data.rank
-    signed = {x: (-1) ** d * v for x, v in data.atom_mu.items()}
-    bad = [x for x, v in sorted(signed.items()) if v < 0]
-    recs.append(
-        CheckRecord(
-            "atom-sign",
-            ANCHOR_SIGN,
-            min(signed.values()) if signed else 0,
-            0,
-            FAIL if bad else PASS,
-            witness=bad[0] if bad else None,
-        )
-    )
-    return recs
+        return [main, _na(*SIGN, "not graded")]
+    signed = {x: (-1) ** data.rank * v for x, v in sorted(data.atom_mu.items())}
+    least = min(signed.values(), default=0)
+    bad = next((x for x, v in signed.items() if v < 0), None)
+    return [main, _compare(*SIGN, least, 0, least >= 0, bad)]
 
 
 def check_mobius_decomposition(data: _InstanceData):
-    if not (data.qualifies and data.rank >= 2):
-        reason = _skip_reason(data) or "rank below 2"
-        return [_na("mobius-decomposition", ANCHOR_DECOMP, reason)]
-    chi_q, chi_r = data.chi_q, data.chi_r
-    lhs = sum(abs(v) for v in data.atom_mu.values()) - data.alpha_min * abs(
-        data.mu_bottom_top
-    )
+    reason = _out_of_scope(data, 2)
+    if reason:
+        return [_na(*DECOMPOSITION, reason)]
+    lhs = sum(abs(v) for v in data.atom_mu.values()) - data.alpha_min * abs(data.mu_bottom_top)
     rhs = (
-        (data.alpha_min - 1) * abs(chi_q)
-        - abs(chi_r)
+        (data.alpha_min - 1) * abs(data.chi_q)
+        - abs(data.chi_r)
         + sum(data.alpha[y] - data.alpha_min for y in data.maximals)
     )
-    return [
-        CheckRecord(
-            "mobius-decomposition",
-            ANCHOR_DECOMP,
-            lhs,
-            rhs,
-            PASS if lhs == rhs else FAIL,
-        )
-    ]
+    return [_compare(*DECOMPOSITION, lhs, rhs, lhs == rhs)]
 
 
 def check_truncation_step(data: _InstanceData):
-    if not (data.qualifies and data.rank >= 2):
-        reason = _skip_reason(data) or "rank below 2"
-        return [
-            _na("truncation-alternating-sum", ANCHOR_STEP, reason),
-            _na("interval-poset-route", ANCHOR_INTERVAL_ROUTE, reason),
-        ]
+    reason = _out_of_scope(data, 2)
+    if reason:
+        return [_na(*STEP, reason), _na(*INTERVAL_ROUTE, reason)]
     P, b = data.P, data.bottom
-    chi_q, chi_r = data.chi_q, data.chi_r
+    chi = [data.chi_q, data.chi_r]
     rho, leq = rank_profile(P).rho, P.leq_matrix
     # (-1)^(rank(y) - 1) summed over the y >= x in Q, for each atom x of Q.
     above_atoms = leq[[P.index(x) for x in data.atoms]][:, data.q_mask].sum(axis=0)
     odd = rho[b, data.q_mask] % 2 == 1
-    lhs = int(above_atoms[odd].sum() - above_atoms[~odd].sum())
-    rhs = chi_q - chi_r
-    recs = [
-        CheckRecord(
-            "truncation-alternating-sum",
-            ANCHOR_STEP,
-            lhs,
-            rhs,
-            PASS if lhs == rhs else FAIL,
-        )
-    ]
+    step = int(above_atoms[odd].sum() - above_atoms[~odd].sum())
 
     # psi of the min-attached interval poset of X = Q̄ or R̄: the new bottom
     # counts -1 and [x, y] has rank 1 + rho(x, y), since X is convex in the
@@ -345,29 +321,24 @@ def check_truncation_step(data: _InstanceData):
         return -1 + np.count_nonzero(pairs) - 2 * np.count_nonzero(odd)
 
     route = [interval_route_value(data.q_mask), interval_route_value(data.r_mask)]
-    recs.append(
-        CheckRecord(
-            "interval-poset-route",
-            ANCHOR_INTERVAL_ROUTE,
-            route,
-            [chi_q, chi_r],
-            PASS if route == [chi_q, chi_r] else FAIL,
-        )
-    )
-    return recs
+    return [
+        _compare(*STEP, step, chi[0] - chi[1], step == chi[0] - chi[1]),
+        _compare(*INTERVAL_ROUTE, route, chi, route == chi),
+    ]
 
 
-def select_basis(data: _InstanceData, reverse=False) -> BasisSelection:
-    """Greedy scan of the maximal elements in (reversed) lexicographic order,
-    keeping an element when its class grows the span.  A class grows the
+def select_basis(data: _InstanceData, reverse=False) -> tuple:
+    """The maximal elements a greedy scan in (reversed) lexicographic order
+    keeps, each kept when its class grows the span.  A class grows the
     span exactly when it is independent of the classes before it, that is,
     when one left-to-right column reduction of the classes in that order
     keeps its column a pivot, so the chosen elements are the columns that do
     not reduce to zero.
 
-    Raises BasisNotFoundError when the classes cannot span; for a lower
-    Eulerian Cohen-Macaulay instance that would contradict the spanning
-    property the audit relies on, so callers treat it as a hard failure.
+    Raises BasisNotFoundError unless the chosen classes span all of the top
+    homology of Δ(Q̄); for a lower Eulerian Cohen-Macaulay instance that would
+    contradict the spanning property the audit relies on, so callers treat
+    it as a hard failure.
     """
     classes = data.interval_classes
     order = sorted(classes.classes, reverse=reverse)
@@ -380,271 +351,134 @@ def select_basis(data: _InstanceData, reverse=False) -> BasisSelection:
         raise BasisNotFoundError(
             f"interval classes span only {len(chosen)} of {classes.ambient_dim} dimensions"
         )
-    return BasisSelection(chosen, len(chosen))
+    return chosen
 
 
 def check_basis_bound(data: _InstanceData):
-    anchor_ids = [
-        ("basis-size", ANCHOR_BASIS_SIZE),
-        ("basis-deficiency-bound", ANCHOR_SUFF),
-        ("basis-order-independence", ANCHOR_ORDER),
-    ]
-    if not (data.qualifies and data.rank >= 2):
-        reason = _skip_reason(data) or "rank below 2"
-        return [_na(cid, anch, reason) for cid, anch in anchor_ids]
-    chi_q, chi_r = data.chi_q, data.chi_r
+    checks = (BASIS_SIZE, BASIS_BOUND, BASIS_ORDER)
+    reason = _out_of_scope(data, 2)
+    if reason:
+        return [_na(*check, reason) for check in checks]
     try:
-        selection = select_basis(data)
+        chosen = select_basis(data)
     except (OmegaNotOneDimensionalError, BasisNotFoundError) as exc:
-        return [
-            CheckRecord(cid, anch, None, None, FAIL, witness=str(exc))
-            for cid, anch in anchor_ids
-        ]
-    b = selection.certificate_rank
-    size_ok = len(selection.chosen) == b == abs(chi_q)
-    recs = [
-        CheckRecord(
-            "basis-size",
-            ANCHOR_BASIS_SIZE,
-            [len(selection.chosen), b],
-            abs(chi_q),
-            PASS if size_ok else FAIL,
-            witness=None
-            if size_ok
-            else "homology and Möbius pipelines disagree on the top Betti number",
-        )
+        return [_compare(*check, None, None, False, str(exc)) for check in checks]
+    size, betti = [len(chosen), data.interval_classes.ambient_dim], abs(data.chi_q)
+    deficiency = abs(data.chi_r)
+    bound = sum(data.alpha[y] - 1 for y in chosen)
+    bound_ok = deficiency <= bound
+    reversed_ok = deficiency <= sum(data.alpha[y] - 1 for y in select_basis(data, reverse=True))
+    return [
+        _compare(
+            *BASIS_SIZE, size, betti, size == [betti, betti],
+            "homology and Möbius pipelines disagree on the top Betti number",
+        ),
+        _compare(*BASIS_BOUND, deficiency, bound, bound_ok),
+        _compare(*BASIS_ORDER, bound_ok, reversed_ok, bound_ok == reversed_ok),
     ]
-    bound_rhs = sum(data.alpha[y] - 1 for y in selection.chosen)
-    bound_ok = abs(chi_r) <= bound_rhs
-    recs.append(
-        CheckRecord(
-            "basis-deficiency-bound",
-            ANCHOR_SUFF,
-            abs(chi_r),
-            bound_rhs,
-            PASS if bound_ok else FAIL,
-        )
-    )
-    reversed_sel = select_basis(data, reverse=True)
-    reversed_ok = abs(chi_r) <= sum(data.alpha[y] - 1 for y in reversed_sel.chosen)
-    recs.append(
-        CheckRecord(
-            "basis-order-independence",
-            ANCHOR_ORDER,
-            bound_ok,
-            reversed_ok,
-            PASS if bound_ok == reversed_ok else FAIL,
-        )
-    )
-    return recs
 
 
 def check_penultimate_identities(data: _InstanceData):
-    recs = []
     d = data.rank
-    atoms_term = sum(data.atom_mu.values()) if data.has_min else None
-    if data.has_min and data.simplicial and data.graded and d >= 1:
-        lhs = simplicial_h(data.P).entries[d - 1]
-        rhs = (-1) ** d * atoms_term - d * (-1) ** (d + 1) * data.mu_bottom_top
-        recs.append(
-            CheckRecord(
-                "simplicial-penultimate-identity",
-                ANCHOR_MAINS,
-                lhs,
-                rhs,
-                PASS if lhs == rhs else FAIL,
-            )
-        )
+    in_scope = data.has_min and data.graded and d >= 1
+
+    def identity_rhs(c):  # c = d for simplicial posets and 2^(d-1) for cubical ones
+        return (-1) ** d * sum(data.atom_mu.values()) - c * (-1) ** (d + 1) * data.mu_bottom_top
+
+    recs = []
+    if in_scope and data.simplicial:
+        lhs, rhs = simplicial_h(data.P).entries[d - 1], identity_rhs(d)
+        recs.append(_compare(*SIMPLICIAL_IDENTITY, lhs, rhs, lhs == rhs))
     else:
-        recs.append(
-            _na(
-                "simplicial-penultimate-identity",
-                ANCHOR_MAINS,
-                "not a graded simplicial poset of rank >= 1",
-            )
-        )
-    if data.has_min and data.cubical and data.graded and d >= 1:
-        lhs = data.cubical_entries[d - 1]
-        rhs = (-1) ** d * atoms_term - 2 ** (d - 1) * (-1) ** (d + 1) * data.mu_bottom_top
-        recs.append(
-            CheckRecord(
-                "cubical-penultimate-identity",
-                ANCHOR_MAINC,
-                lhs,
-                rhs,
-                PASS if lhs == rhs else FAIL,
-            )
-        )
+        recs.append(_na(*SIMPLICIAL_IDENTITY, "not a graded simplicial poset of rank >= 1"))
+    if in_scope and data.cubical:
+        lhs, rhs = data.cubical_entries[d - 1], identity_rhs(2 ** (d - 1))
+        recs.append(_compare(*CUBICAL_IDENTITY, lhs, rhs, lhs == rhs))
     else:
-        recs.append(
-            _na(
-                "cubical-penultimate-identity",
-                ANCHOR_MAINC,
-                "not a graded cubical poset of rank >= 1",
-            )
-        )
+        recs.append(_na(*CUBICAL_IDENTITY, "not a graded cubical poset of rank >= 1"))
     return recs
 
 
 def check_nonnegativity_corollaries(data: _InstanceData):
-    recs = []
     d = data.rank
-    cubical_ok = data.has_min and data.cubical and data.graded and data.cm and d >= 1
-    if cubical_ok:
-        entries = data.cubical_entries
-        recs.append(
-            CheckRecord(
-                "cubical-penultimate-nonneg",
-                "cubical h_{d-1} >= 0 for Cohen-Macaulay cubical posets",
-                entries[d - 1],
-                0,
-                PASS if entries[d - 1] >= 0 else FAIL,
-            )
-        )
-        recs.append(
-            CheckRecord(
-                "cubical-top-nonneg",
-                "cubical h_d >= 0 for Cohen-Macaulay cubical posets",
-                entries[d],
-                0,
-                PASS if entries[d] >= 0 else FAIL,
-            )
-        )
+    if data.has_min and data.cubical and data.graded and data.cm and d >= 1:
+        h = data.cubical_entries
+        recs = [
+            _compare(
+                "cubical-penultimate-nonneg", "cubical h_{d-1} >= 0 for Cohen-Macaulay cubical posets",
+                h[d - 1], 0, h[d - 1] >= 0,
+            ),
+            _compare("cubical-top-nonneg", "cubical h_d >= 0 for Cohen-Macaulay cubical posets", h[d], 0, h[d] >= 0),
+        ]
     else:
         reason = "not a Cohen-Macaulay graded cubical poset"
-        recs.append(_na("cubical-penultimate-nonneg", "cubical h_{d-1} >= 0", reason))
-        recs.append(_na("cubical-top-nonneg", "cubical h_d >= 0", reason))
-
-    toric_ok = data.qualifies and d >= 1
-    if toric_ok:
-        entries = toric_h(data.P).entries
+        recs = [
+            _na("cubical-penultimate-nonneg", "cubical h_{d-1} >= 0", reason),
+            _na("cubical-top-nonneg", "cubical h_d >= 0", reason),
+        ]
+    reason = _out_of_scope(data, 1)
+    if reason:
+        return recs + [
+            _na("toric-top-nonneg", "toric h_d >= 0", reason),
+            _na("toric-penultimate-nonneg", "toric h_{d-1} >= 0", reason),
+        ]
+    h = toric_h(data.P).entries
+    recs.append(
+        _compare("toric-top-nonneg", "toric h_d >= 0 for lower Eulerian Cohen-Macaulay posets", h[d], 0, h[d] >= 0)
+    )
+    if data.meet:
         recs.append(
-            CheckRecord(
-                "toric-top-nonneg",
-                "toric h_d >= 0 for lower Eulerian Cohen-Macaulay posets",
-                entries[d],
-                0,
-                PASS if entries[d] >= 0 else FAIL,
+            _compare(
+                "toric-penultimate-nonneg", "toric h_{d-1} >= 0 for lower Eulerian CM meet-semilattices",
+                h[d - 1], 0, h[d - 1] >= 0,
             )
         )
-        if data.meet:
-            recs.append(
-                CheckRecord(
-                    "toric-penultimate-nonneg",
-                    "toric h_{d-1} >= 0 for lower Eulerian CM meet-semilattices",
-                    entries[d - 1],
-                    0,
-                    PASS if entries[d - 1] >= 0 else FAIL,
-                )
-            )
-        else:
-            recs.append(
-                _na(
-                    "toric-penultimate-nonneg",
-                    "toric h_{d-1} >= 0",
-                    "not a meet-semilattice",
-                )
-            )
     else:
-        reason = _skip_reason(data) or "rank below 1"
-        recs.append(_na("toric-top-nonneg", "toric h_d >= 0", reason))
-        recs.append(_na("toric-penultimate-nonneg", "toric h_{d-1} >= 0", reason))
+        recs.append(_na("toric-penultimate-nonneg", "toric h_{d-1} >= 0", "not a meet-semilattice"))
     return recs
 
 
 def check_truncation_structure(data: _InstanceData):
-    ids = [
-        (
-            "hypothesis-interval-doubly-cm",
-            "every open interval below a maximal element is doubly Cohen-Macaulay",
-        ),
-        (
-            "hypothesis-truncation-buchsbaum",
-            "the order complex minus the minimum is Buchsbaum",
-        ),
-        (
-            "truncation-doubly-cm",
-            "the doubly truncated order complex is doubly Cohen-Macaulay",
-        ),
-        (
-            "truncation-buchsbaum-star",
-            "the doubly truncated order complex is Buchsbaum*",
-        ),
-        (
-            "atom-link-surjectivity",
-            "top homology surjects onto every minimal-vertex link one degree down",
-        ),
-        (
-            "facet-transversal-deletion",
-            "every facet meets the maximal elements once; deleting them yields the truncated order complex",
-        ),
-    ]
-    if not (data.qualifies and data.rank >= 2):
-        reason = _skip_reason(data) or "rank below 2"
-        return [_na(cid, anch, reason) for cid, anch in ids]
+    checks = (INTERVALS_DOUBLY_CM, PBAR_BUCHSBAUM, QBAR_DOUBLY_CM, QBAR_BUCHSBAUM_STAR, ATOM_LINKS, TRANSVERSAL)
+    reason = _out_of_scope(data, 2)
+    if reason:
+        return [_na(*check, reason) for check in checks]
 
-    recs = []
-
-    interval_ok = True
-    interval_wit = None
     iv = data.pbar.intervals
-    for y in data.maximals:
-        # y is maximal, so its link in Δ(P̄) is Δ((0̂, y)).
-        ok, wit = OrderComplexScan(iv, data.pbar.ground & iv.below[data.P.index(y)]).doubly_cm()
-        if not ok:
-            interval_ok, interval_wit = False, (y, wit)
-            break
-    recs.append(_hypothesis_record(ids[0][0], ids[0][1], interval_ok, interval_wit))
-
+    # y is maximal, so its link in Δ(P̄) is Δ((0̂, y)).
+    scans = ((y, OrderComplexScan(iv, data.pbar.ground & iv.below[data.P.index(y)]).doubly_cm()) for y in data.maximals)
+    interval_wit = next(((y, wit) for y, (ok, wit) in scans if not ok), None)
+    interval_ok = interval_wit is None
     buch_ok, buch_wit = data.pbar.buchsbaum()
-    recs.append(_hypothesis_record(ids[1][0], ids[1][1], buch_ok, buch_wit))
+    recs = [
+        _hypothesis_record(*INTERVALS_DOUBLY_CM, interval_ok, interval_wit),
+        _hypothesis_record(*PBAR_BUCHSBAUM, buch_ok, buch_wit),
+    ]
 
     if interval_ok:
         dcm_ok, dcm_wit = data.qbar.doubly_cm()
-        recs.append(
-            CheckRecord(
-                ids[2][0], ids[2][1], dcm_ok, True,
-                PASS if dcm_ok else FAIL, witness=dcm_wit,
-            )
-        )
+        recs.append(_compare(*QBAR_DOUBLY_CM, dcm_ok, True, dcm_ok, dcm_wit))
     else:
-        recs.append(_na(ids[2][0], ids[2][1], "interval hypothesis failed"))
+        recs.append(_na(*QBAR_DOUBLY_CM, "interval hypothesis failed"))
 
     if interval_ok and buch_ok:
         bs_ok, bs_wit = data.qbar.buchsbaum_star()
-        recs.append(
-            CheckRecord(
-                ids[3][0], ids[3][1], bs_ok, True,
-                PASS if bs_ok else FAIL, witness=bs_wit,
-            )
-        )
+        recs.append(_compare(*QBAR_BUCHSBAUM_STAR, bs_ok, True, bs_ok, bs_wit))
     else:
-        recs.append(_na(ids[3][0], ids[3][1], "hypotheses failed"))
+        recs.append(_na(*QBAR_BUCHSBAUM_STAR, "hypotheses failed"))
 
     # P is graded of rank >= 2: its atoms are the minimal vertices of Δ(Q̄).
     maps = ((x, data.qbar.top_rank((x,)), data.qbar.link_top((x,))) for x in data.atoms)
     surj_wit = next((m for m in maps if m[1] != m[2]), None)
-    recs.append(
-        CheckRecord(
-            ids[4][0], ids[4][1], surj_wit is None, True,
-            PASS if surj_wit is None else FAIL, witness=surj_wit,
-        )
-    )
+    recs.append(_compare(*ATOM_LINKS, surj_wit is None, True, surj_wit is None, surj_wit))
 
     delta_pbar = data.pbar.delta
     transversal = set(data.maximals)
-    unique = all(
-        len(transversal.intersection(f)) == 1 for f in delta_pbar.facets
-    )
-    deleted = delta_pbar.delete_vertices(data.maximals)
-    same = deleted == data.qbar.delta
-    recs.append(
-        CheckRecord(
-            ids[5][0], ids[5][1],
-            [unique, same], [True, True],
-            PASS if unique and same else FAIL,
-        )
-    )
+    sides = [
+        all(len(transversal.intersection(f)) == 1 for f in delta_pbar.facets),
+        delta_pbar.delete_vertices(data.maximals) == data.qbar.delta,
+    ]
+    recs.append(_compare(*TRANSVERSAL, sides, [True, True], all(sides)))
     return recs
 
 

@@ -230,9 +230,6 @@ class HomologyReport:
     betti: dict
     characteristic: int
 
-    def alternating_sum(self):
-        return sum((-1) ** (k % 2) * b for k, b in self.betti.items())
-
 
 def reduced_homology(delta: SimplicialComplex, fld: FieldSpec) -> HomologyReport:
     """Reduced Betti numbers from -1 to delta.dim, read off the strong-collapse

@@ -44,11 +44,6 @@ class IntPolynomial:
             raise ValueError(f"degree {self.degree} exceeds padding length {length}")
         return tuple(self.coeffs) + (0,) * (length - len(self.coeffs))
 
-    def is_palindromic(self, length=None):
-        """Coefficient vector reads the same reversed, over `length` slots."""
-        c = self.padded(length) if length is not None else self.coeffs
-        return c == c[::-1]
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = IntPolynomial.constant(other)

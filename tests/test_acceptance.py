@@ -148,7 +148,8 @@ def test_criterion_06_euler_poincare_on_suite_complexes(suite_posets, field):
         complexes.append((c.name, c))
     for name, c in complexes:
         chi = c.reduced_euler_char()
-        homological = reduced_homology(c, field).alternating_sum()
+        betti = reduced_homology(c, field).betti
+        homological = sum((-1) ** (k % 2) * b for k, b in betti.items())
         if chi != homological:
             failures.append((name, chi, homological))
     conclude(6, "euler-poincare", failures)
@@ -250,7 +251,8 @@ def test_criterion_10_toric_machinery(suite_posets):
         for y, (f, _) in toric_face_polynomials(P).items():
             if y == P.minimum():
                 continue
-            if not f.is_palindromic(ranks[y]):
+            coeffs = f.padded(ranks[y])
+            if coeffs != coeffs[::-1]:
                 failures.append((name, y, "face polynomial not palindromic"))
         if toric.entries[0] != 1:
             failures.append((name, "h_0 != 1"))

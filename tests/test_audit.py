@@ -10,14 +10,20 @@ import pytest
 import dense_oracle
 from conftest import drawn_poset
 from poset_oracle import mobius_row
-from posetlab import homology
+from posetlab import audit, homology
 from posetlab.audit import (
     FAIL,
     INAPPLICABLE,
     PASS,
     _InstanceData,
     audit_poset,
+    check_basis_bound,
+    check_main_inequality,
+    check_mobius_decomposition,
+    check_nonnegativity_corollaries,
+    check_penultimate_identities,
     check_truncation_step,
+    check_truncation_structure,
     run_suite,
     select_basis,
 )
@@ -152,12 +158,9 @@ def test_min_less_poset_marks_everything_inapplicable():
 
 def test_basis_selection_is_a_certified_basis():
     data = _InstanceData(cubical_complex_poset("cycle", 4), FieldSpec())
-    selection = select_basis(data)
-    assert len(selection.chosen) == 3
-    assert selection.certificate_rank == 3
-    reversed_selection = select_basis(data, reverse=True)
-    assert len(reversed_selection.chosen) == 3
-    assert selection.chosen != reversed_selection.chosen  # different, equally valid
+    assert data.interval_classes.ambient_dim == 3
+    assert select_basis(data) == ("v0|v1", "v0|v3", "v1|v2")
+    assert select_basis(data, reverse=True) == ("v2|v3", "v1|v2", "v0|v3")  # different, equally valid
 
 
 def test_report_serialization_schema(cycle4_report):
@@ -170,17 +173,108 @@ def test_report_serialization_schema(cycle4_report):
     json.dumps(payload)  # JSON-serializable throughout
 
 
-def test_every_verdict_recomputable_from_recorded_values(cycle4_report):
-    for check in cycle4_report.checks:
-        if check.verdict != PASS:
-            continue
-        cid = check.check_id
-        if cid in ("main-inequality",):
-            assert check.lhs >= check.rhs
-        elif cid in ("mobius-decomposition", "truncation-alternating-sum"):
-            assert check.lhs == check.rhs
-        elif cid == "basis-deficiency-bound":
-            assert check.lhs <= check.rhs
+# How each check's verdict follows from its recorded sides.
+RELATIONS = {
+    "hypothesis-minimum": "hypothesis",
+    "hypothesis-lower-eulerian": "hypothesis",
+    "hypothesis-cohen-macaulay": "hypothesis",
+    "hypothesis-graded": "hypothesis",
+    "main-inequality": ">=",
+    "atom-sign": ">=",
+    "mobius-decomposition": "==",
+    "truncation-alternating-sum": "==",
+    "interval-poset-route": "==",
+    "basis-size": "basis-size",
+    "basis-deficiency-bound": "<=",
+    "basis-order-independence": "==",
+    "simplicial-penultimate-identity": "==",
+    "cubical-penultimate-identity": "==",
+    "cubical-penultimate-nonneg": ">=",
+    "cubical-top-nonneg": ">=",
+    "toric-top-nonneg": ">=",
+    "toric-penultimate-nonneg": ">=",
+    "hypothesis-interval-doubly-cm": "hypothesis",
+    "hypothesis-truncation-buchsbaum": "hypothesis",
+    "truncation-doubly-cm": "==",
+    "truncation-buchsbaum-star": "==",
+    "atom-link-surjectivity": "==",
+    "facet-transversal-deletion": "==",
+}
+
+HOLDS = {
+    ">=": lambda lhs, rhs: lhs >= rhs,
+    "<=": lambda lhs, rhs: lhs <= rhs,
+    "==": lambda lhs, rhs: lhs == rhs,
+    "basis-size": lambda lhs, rhs: lhs[0] == lhs[1] == rhs,
+}
+
+# What the scope rule says of an instance outside a statement's hypotheses
+# or below its rank, and the reasons the checks give for their own scopes.
+SCOPE_REASONS = {
+    "no minimum",
+    "not lower Eulerian",
+    "not Cohen-Macaulay",
+    "not lower Eulerian, not Cohen-Macaulay",
+    "not Cohen-Macaulay, not graded",
+    "not lower Eulerian, not Cohen-Macaulay, not graded",
+    "rank below 1",
+    "rank below 2",
+}
+CHECK_REASONS = {
+    "not graded",
+    "not a graded simplicial poset of rank >= 1",
+    "not a graded cubical poset of rank >= 1",
+    "not a Cohen-Macaulay graded cubical poset",
+    "not a meet-semilattice",
+    "interval hypothesis failed",
+    "hypotheses failed",
+}
+
+
+def implied_verdict(check):
+    relation = RELATIONS[check.check_id]
+    if check.lhs is None and check.rhs is None:
+        return INAPPLICABLE
+    if relation == "hypothesis":
+        assert check.rhs is True
+        return PASS if check.lhs is True else INAPPLICABLE
+    return PASS if HOLDS[relation](check.lhs, check.rhs) else FAIL
+
+
+def test_every_verdict_recomputable_from_recorded_values():
+    """Every record of the suite, of drawn posets and of a one-element
+    poset, a four-element chain and a poset without a minimum, at p = 2, 3
+    and 101, has the verdict its sides imply by its check's relation, and a
+    witness only when it does not pass.  The scope rule gives each of its
+    reasons here."""
+    posets = [P for _, P in suite()] + [drawn_poset(seed) for seed in range(60)]
+    posets += [
+        build_from_covers(["0"], [], name="point"),
+        build_from_covers(["0", "a", "b", "c"], [("0", "a"), ("a", "b"), ("b", "c")], name="chain-4"),
+        build_from_covers(["a", "b", "c"], [("a", "c"), ("b", "c")], name="no-minimum"),
+    ]
+    ids, reasons = set(), set()
+    for P in posets:
+        for p in (2, 3, 101):
+            for check in audit_poset(P, FieldSpec(p)).checks:
+                assert check.verdict == implied_verdict(check), (P.name, p, check)
+                assert check.verdict != PASS or check.witness is None, (P.name, p, check)
+                ids.add(check.check_id)
+                if check.lhs is None and check.rhs is None:
+                    reasons.add(check.witness)
+    assert ids == set(RELATIONS)
+    assert SCOPE_REASONS <= reasons <= SCOPE_REASONS | CHECK_REASONS
+
+
+def test_scope_rule_reasons_no_poset_gives():
+    """A poset with a minimum whose order complex is Cohen-Macaulay is
+    graded, so these reasons are read off instance flags set by hand."""
+    flags = {"has_min": True, "lower_eulerian": True, "cm": True, "graded": False, "rank": 3}
+    assert audit._out_of_scope(SimpleNamespace(**flags), 2) == "not graded"
+    assert audit._out_of_scope(SimpleNamespace(**{**flags, "lower_eulerian": False}), 2) == "not lower Eulerian, not graded"
+    flags["graded"] = True
+    assert [audit._out_of_scope(SimpleNamespace(**flags), r) for r in (0, 3, 4)] == [None, None, "rank below 4"]
+    assert audit._out_of_scope(SimpleNamespace(**{**flags, "has_min": False, "cm": False}), 0) == "no minimum"
 
 
 def test_run_suite_family_filter():
@@ -243,7 +337,7 @@ def dense_route_value(X):
 def qualifying_rank_two_or_more(posets, fld):
     for P in posets:
         data = _InstanceData(P, fld)
-        if data.qualifies and data.rank >= 2:
+        if audit._out_of_scope(data, 2) is None:
             yield data
 
 
@@ -335,7 +429,7 @@ def test_chi_r_from_the_atom_identity_matches_the_subposet_row():
     for P in posets:
         data = _InstanceData(P, FieldSpec())
         assert data.chi_r == chi_r_oracle(P), P.name
-        if data.qualifies:
+        if audit._out_of_scope(data, 0) is None:
             seen.add("qualifies")
         seen.update(kind for kind, flag in (("not CM", data.cm), ("not lower Eulerian", data.lower_eulerian)) if not flag)
         seen.add(f"rank {min(data.rank, 3)}" if data.graded else "ungraded")
@@ -376,8 +470,7 @@ def test_select_basis_matches_the_rank_loop(p):
             want, rank = greedy_rank_loop(classes, p, reverse)
             data = SimpleNamespace(interval_classes=classes, fld=fld)
             if rank == classes.ambient_dim:
-                selection = select_basis(data, reverse=reverse)
-                assert (selection.chosen, selection.certificate_rank) == (want, rank)
+                assert select_basis(data, reverse=reverse) == want
                 spans.add("basis")
             else:
                 with pytest.raises(BasisNotFoundError) as exc:
@@ -386,3 +479,90 @@ def test_select_basis_matches_the_rank_loop(p):
                 spans.add("short")
     assert spans == {"basis", "short"}
 
+
+
+# -- the FAIL branches, reached through patched instance values -------------------
+
+
+def cycle4_data():
+    """Instance data of cycle-4 at p = 101: d = 2, atom Möbius values 1,
+    mu(0, 1) = -1, alpha = 2 for every maximal element, chi(Q) = 3 and
+    chi(R) = -1; the greedy bases are v0|v1, v0|v3, v1|v2 forward and
+    v2|v3, v1|v2, v0|v3 reversed."""
+    return _InstanceData(cubical_complex_poset("cycle", 4), FieldSpec())
+
+
+def sides(records):
+    return {c.check_id: (c.lhs, c.rhs, c.verdict, c.witness) for c in records}
+
+
+def test_patched_values_drive_every_comparison_to_fail(monkeypatch):
+    """Each of the comparison checks reads FAIL, with the recorded sides and
+    witness, once one of the values it compares is made wrong."""
+    data = cycle4_data()
+    data.alpha_min = 5
+    assert sides(check_main_inequality(data))["main-inequality"] == (4, 5, FAIL, None)
+
+    data = cycle4_data()
+    data.atom_mu = {**data.atom_mu, "v2": -1}
+    assert sides(check_main_inequality(data))["atom-sign"] == (-1, 0, FAIL, "v2")
+    assert sides(check_penultimate_identities(data)) == {
+        "simplicial-penultimate-identity": (2, 0, FAIL, None),
+        "cubical-penultimate-identity": (2, 0, FAIL, None),
+    }
+
+    data = cycle4_data()
+    data.chi_r = -5
+    assert sides(check_mobius_decomposition(data)) == {"mobius-decomposition": (2, -2, FAIL, None)}
+    assert sides(check_truncation_step(data)) == {
+        "truncation-alternating-sum": (4, 8, FAIL, None),
+        "interval-poset-route": ([3, -1], [3, -5], FAIL, None),
+    }
+    assert sides(check_basis_bound(data))["basis-deficiency-bound"] == (5, 3, FAIL, None)
+
+    data = cycle4_data()
+    data.chi_q = 4
+    witness = "homology and Möbius pipelines disagree on the top Betti number"
+    assert sides(check_basis_bound(data))["basis-size"] == ([3, 3], 4, FAIL, witness)
+
+    data = cycle4_data()
+    data.alpha = {**data.alpha, "v0|v1": 4}
+    data.chi_r = -4
+    assert sides(check_basis_bound(data)) == {
+        "basis-size": ([3, 3], 3, PASS, None),
+        "basis-deficiency-bound": (4, 5, PASS, None),
+        "basis-order-independence": (True, False, FAIL, None),
+    }
+
+    data = cycle4_data()
+    data.interval_classes = homology.MaximalIntervalClasses(3, {y: np.array([1, 0, 0]) for y in data.maximals})
+    span = "interval classes span only 1 of 3 dimensions"
+    assert sides(check_basis_bound(data)) == {
+        cid: (None, None, FAIL, span) for cid in ("basis-size", "basis-deficiency-bound", "basis-order-independence")
+    }
+
+    data = cycle4_data()
+    data.cubical_entries = (1, -1, -2)
+    assert sides(check_penultimate_identities(data))["cubical-penultimate-identity"] == (-1, 2, FAIL, None)
+    monkeypatch.setattr(audit, "toric_h", lambda P: SimpleNamespace(entries=(1, -3, -4)))
+    assert sides(check_nonnegativity_corollaries(data)) == {
+        "cubical-penultimate-nonneg": (-1, 0, FAIL, None),
+        "cubical-top-nonneg": (-2, 0, FAIL, None),
+        "toric-top-nonneg": (-4, 0, FAIL, None),
+        "toric-penultimate-nonneg": (-3, 0, FAIL, None),
+    }
+
+    data = cycle4_data()
+    qbar, top_rank = data.qbar, data.qbar.top_rank
+    qbar.doubly_cm = lambda: (False, ("v0",))
+    qbar.buchsbaum_star = lambda: (False, ("v1",))
+    qbar.top_rank = lambda face: 0 if face == ("v1",) else top_rank(face)
+    data.maximals = data.maximals[:-1]  # drops v2|v3, after Q-bar was scanned
+    assert sides(check_truncation_structure(data)) == {
+        "hypothesis-interval-doubly-cm": (True, True, PASS, None),
+        "hypothesis-truncation-buchsbaum": (True, True, PASS, None),
+        "truncation-doubly-cm": (False, True, FAIL, ("v0",)),
+        "truncation-buchsbaum-star": (False, True, FAIL, ("v1",)),
+        "atom-link-surjectivity": (False, True, FAIL, ("v1", 0, 1)),
+        "facet-transversal-deletion": ([False, False], [True, True], FAIL, None),
+    }

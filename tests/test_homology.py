@@ -76,7 +76,8 @@ def test_euler_poincare_agreement():
         points_complex(4),
         order_complex(boolean_lattice(3).remove_min()),
     ):
-        assert reduced_homology(c, FLD).alternating_sum() == c.reduced_euler_char()
+        betti = reduced_homology(c, FLD).betti
+        assert sum((-1) ** (k % 2) * b for k, b in betti.items()) == c.reduced_euler_char()
 
 
 # -- the strong-collapse core -----------------------------------------------------

@@ -79,7 +79,8 @@ def test_toric_polynomials_palindromic_on_eulerian_lattices():
         for y, (f, _) in polys.items():
             if y == P.minimum():
                 continue
-            assert f.is_palindromic(ranks[y])
+            coeffs = f.padded(ranks[y])
+            assert coeffs == coeffs[::-1]
 
 
 def test_toric_h_of_cycle():

@@ -43,13 +43,6 @@ def test_inexact_division_raises():
         IntPolynomial((1, 0, 1)).divide_exact(ONE_PLUS_Q)
 
 
-def test_palindromic():
-    assert IntPolynomial((1, 2, 1)).is_palindromic()
-    assert IntPolynomial((1, 1)).is_palindromic(2)
-    assert IntPolynomial((1,)).is_palindromic(2) is False
-    assert ONE_PLUS_Q.is_palindromic()
-
-
 def test_padded_rejects_overflow():
     with pytest.raises(ValueError):
         (Q**3).padded(2)

@@ -103,7 +103,7 @@ def class_outcome(P, fld, compute):
     try:
         classes = compute(P, fld)
         data = SimpleNamespace(interval_classes=classes, fld=fld)
-        chosen = [select_basis(data, reverse).chosen for reverse in (False, True)]
+        chosen = [select_basis(data, reverse) for reverse in (False, True)]
     except PosetLabError as exc:
         return type(exc).__name__, getattr(exc, "dimension", None)
     for vector in classes.classes.values():
