@@ -7,10 +7,14 @@ Python int bitsets (bit i of down[j] is set iff i <= j); built from covers,
 they come first, in topological order, and the matrix is unpacked from them.
 The cover check, the structural predicates and the interval scans of the
 order complex are set arithmetic on them.  A cover list is checked in one
-pass, and one cover at a time only to name the first bad one.  Interval ranks are longest chain lengths above
-the minimal elements, filled one height level at a time over the cover
-arrays.  Instances are immutable after construction; lazy caches are filled
-with idempotent writes and are safe to share between threads.
+pass, and one cover at a time only to name the first bad one.  Heights come
+from one relaxation over the cover arrays.  Interval ranks are longest chain
+lengths above the minimal elements, filled one height level at a time.  The
+Möbius table is filled one height level at a time too, over the comparable
+triples x <= z < y, except on tall posets such as chains, where whole
+columns in topological order cost less.  Instances are immutable after
+construction; lazy caches are filled with idempotent writes and are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -458,19 +462,7 @@ def rank_profile(P: FinitePoset) -> RankProfile:
     if cached is not None:
         return RankProfile(P, cached)
     n = len(P)
-    index = P._index
-    lo = np.array([index[a] for a, _ in P.covers], dtype=np.intp)
-    hi = np.array([index[b] for _, b in P.covers], dtype=np.intp)
-
-    # Heights by relaxing every cover until nothing moves: one round per level.
-    height = np.zeros(n, dtype=np.int32)
-    while lo.size:
-        lifted = height.copy()
-        np.maximum.at(lifted, hi, height[lo] + 1)
-        if (lifted == height).all():
-            break
-        height = lifted
-
+    lo, hi, height = _heights(P)
     minimal = np.flatnonzero(height == 0)
     R = np.full((n, minimal.size), _NO_CHAIN, dtype=np.int32)
     R[minimal, np.arange(minimal.size)] = 0
@@ -492,6 +484,29 @@ def rank_profile(P: FinitePoset) -> RankProfile:
     rho.flags.writeable = False
     P._cache["rank_profile"] = rho
     return RankProfile(P, rho)
+
+
+def _heights(P: FinitePoset):
+    """The covers as index arrays lo < hi, and the height of every element,
+    the longest chain length from a minimal element up to it, by relaxing
+    every cover until nothing moves: one round per level."""
+    cached = P._cache.get("heights")
+    if cached is not None:
+        return cached
+    index = P._index
+    lo = np.array([index[a] for a, _ in P.covers], dtype=np.intp)
+    hi = np.array([index[b] for _, b in P.covers], dtype=np.intp)
+    height = np.zeros(len(P), dtype=np.int32)
+    while lo.size:
+        lifted = height.copy()
+        np.maximum.at(lifted, hi, height[lo] + 1)
+        if (lifted == height).all():
+            break
+        height = lifted
+    for array in (lo, hi, height):
+        array.flags.writeable = False
+    P._cache["heights"] = lo, hi, height
+    return lo, hi, height
 
 
 def _dense_rank_matrix(P: FinitePoset) -> np.ndarray:
@@ -581,21 +596,78 @@ class MobiusTable:
 # |mu| above 2^62 / n could overflow the int64 sum of n such values.
 _INT64_GUARD = 2**62
 _GATHER_ROWS = 128
+# The level kernel expands at most this many triples x <= z < y at once.
+_TRIPLE_CHUNK = 8192
 
 
 def mobius(P: FinitePoset) -> MobiusTable:
-    """The full Möbius table, one column at a time in topological order:
-    mu(., j) = -sum of mu(., z) over z < j, which is 0 outside the down-set
-    of j and gives mu(i, j) for every i < j at once.  The table is int64
-    until a column passes the guard, and Python ints (dtype=object) from
-    that column on: every earlier column is under the guard, so the column
-    that passes it has not overflowed."""
+    """The full Möbius table by Hall's recursion mu(x, y) = -sum of mu(x, z)
+    over x <= z < y (Rota 1964), in one of two kernels chosen before any
+    work.  The level kernel does one subtraction per triple x <= z < y,
+    T = sum over z of |down z| (|up z| - 1) of them, with one Python pass per
+    height; the column loop adds whole columns of n entries, D = n * (strict
+    pairs) additions, with one Python pass per element.  The level kernel
+    runs when 8 T <= D, as on face posets (T/D <= 0.1), and the column loop
+    on tall posets such as chains (T/D about 1/3), where the level kernel is
+    several times slower.  Either table is int64 until a level or column
+    passes the guard, and Python ints (dtype=object) after it: each entry
+    sums fewer than n values, all under the guard, so the step that passes
+    it has not overflowed."""
     cached = P._cache.get("mobius")  # the values, as for rank_profile
     if cached is not None:
         return MobiusTable(P, cached)
     n = len(P)
     leq = P.leq_matrix
-    guard = _INT64_GUARD // max(n, 1)
+    down, up = np.count_nonzero(leq, axis=0), np.count_nonzero(leq, axis=1)
+    triples = int(down @ (up - 1))
+    dense = n * (int(up.sum()) - n)
+    kernel = _mobius_levels if 8 * triples <= dense else _mobius_columns
+    values = kernel(P, _INT64_GUARD // max(n, 1))
+    P._cache["mobius"] = values
+    return MobiusTable(P, values)
+
+
+def _mobius_levels(P: FinitePoset, guard) -> np.ndarray:
+    """mu(., y) for all y of one height at a time: every z < y lies lower,
+    so mu(x, z) is final, and each triple x <= z < y subtracts it from
+    mu(x, y) in place, a chunk of triples at a time."""
+    n = len(P)
+    height = _heights(P)[2]
+    # The pairs z <= y listed by upper element: the down-set of z is
+    # low[start[z] : start[z + 1]].  Flattening the transpose copies n^2
+    # booleans; it is done before the table exists, to keep the peak low.
+    upper, low = np.divmod(np.flatnonzero(P.leq_matrix.T), n)
+    size = np.bincount(upper, minlength=n)
+    start = np.concatenate(([0], np.cumsum(size)))
+    strict = upper != low
+    zs, ys = low[strict], upper[strict]
+    order = np.argsort(height[ys], kind="stable")
+    zs, ys = zs[order], ys[order]
+    cuts = np.flatnonzero(np.diff(height[ys])) + 1
+    table = np.eye(n, dtype=np.int64)
+    flat = table.reshape(-1)  # flat[x * n + y] = mu(x, y)
+    for z, y in zip(np.split(zs, cuts), np.split(ys, cuts)):
+        # Triple t expands pair k = the last with first[k] <= t, to the
+        # (t - first[k])-th element of the down-set of z[k].
+        first = np.concatenate(([0], np.cumsum(size[z])))
+        for a in range(0, int(first[-1]), _TRIPLE_CHUNK):
+            t = np.arange(a, min(a + _TRIPLE_CHUNK, int(first[-1])))
+            k = np.searchsorted(first, t, side="right") - 1
+            row = low[start[z[k]] + t - first[k]] * n
+            np.subtract.at(flat, row + y[k], flat[row + z[k]])
+        # The level's entries off the diagonal are mu(z, y) over its pairs.
+        if table.dtype != object and np.abs(flat[z * n + y]).max(initial=0) > guard:
+            table = table.astype(object)
+            flat = table.reshape(-1)
+    return table
+
+
+def _mobius_columns(P: FinitePoset, guard) -> np.ndarray:
+    """mu(., j) = -sum of mu(., z) over z < j, one column at a time in
+    topological order: the sum is 0 outside the down-set of j and gives
+    mu(i, j) for every i < j at once."""
+    n = len(P)
+    leq = P.leq_matrix
     cols = np.zeros((n, n), dtype=np.int64)  # cols[j, i] = mu(i, j)
     for j in P._topo:
         below = np.flatnonzero(leq[:, j])
@@ -607,9 +679,7 @@ def mobius(P: FinitePoset) -> MobiusTable:
         if cols.dtype != object and below.size and np.abs(col).max() > guard:
             cols = cols.astype(object)
         cols[j, j] = 1
-    values = cols.T
-    P._cache["mobius"] = values
-    return MobiusTable(P, values)
+    return cols.T
 
 
 def mobius_from(P: FinitePoset, x) -> dict:

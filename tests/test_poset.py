@@ -1,9 +1,10 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_reduced_euler
+from conftest import brute_force_reduced_euler, mobius_kernel_calls
 from poset_oracle import attach_max, mobius_row, posets_isomorphic
 from posetlab.complexes import order_complex
 from posetlab.errors import (
@@ -466,32 +467,70 @@ def test_interval_poset_label_fallback():
     assert len(set(Int.elements)) == 3
 
 
+def fan(k):
+    """0 < a1..ak < m < t, where mu(0, m) = k - 1."""
+    atoms = [f"a{i}" for i in range(1, k + 1)]
+    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms] + [("m", "t")]
+    return build_from_covers(["0", *atoms, "m", "t"], covers, name=f"fan-{k}")
+
+
+def mobius_rows(P):
+    return [mobius_row(P, i) for i in range(len(P))]
+
+
 def test_exact_mobius_row_matches_fast_path(monkeypatch):
     from posetlab import poset as poset_module
 
-    P = cube_face_lattice(2)
-    table = mobius(P)._values
-    assert table.dtype == np.int64
-    for i in range(len(P)):
-        assert table[i].tolist() == mobius_row(P, i)
-    # A guard of 0 switches the table to Python ints at the first column of
-    # an element that is not minimal.
-    monkeypatch.setattr(poset_module, "_INT64_GUARD", 0)
-    fresh = cube_face_lattice(2)
-    exact = mobius(fresh)._values
-    assert exact.dtype == object
-    assert exact.tolist() == table.tolist()
-    assert is_lower_eulerian(fresh)
-    # Here mu(0, m) = 3 passes a guard of 2 halfway up, and the column of t
-    # above it is summed in Python ints.
-    atoms = ["a1", "a2", "a3", "a4"]
-    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms] + [("m", "t")]
-    P = build_from_covers(["0", *atoms, "m", "t"], covers)
-    monkeypatch.setattr(poset_module, "_INT64_GUARD", 2 * len(P))
-    exact = mobius(P)._values
-    assert exact.dtype == object
-    assert [exact[i].tolist() for i in range(len(P))] == [mobius_row(P, i) for i in range(len(P))]
-    assert mobius(P).mu("0", "m") == 3
+    calls = mobius_kernel_calls(monkeypatch)
+    default = poset_module._INT64_GUARD
+
+    def table(P, guard=default):
+        monkeypatch.setattr(poset_module, "_INT64_GUARD", guard)
+        return mobius(P)._values
+
+    for build, kernel in [
+        (lambda: cube_face_lattice(2), "_mobius_columns"),
+        (lambda: cube_face_lattice(3), "_mobius_levels"),
+        (lambda: cubical_complex_poset("grid", 2, 2), "_mobius_levels"),
+    ]:
+        P = build()
+        fast = table(P)
+        assert fast.dtype == np.int64
+        assert fast.tolist() == mobius_rows(P)
+        # A guard of 0 switches the table to Python ints after the first
+        # level or column of an element that is not minimal.
+        fresh = build()
+        exact = table(fresh, 0)
+        assert exact.dtype == object
+        assert exact.tolist() == fast.tolist()
+        assert is_lower_eulerian(fresh)
+        # Every |mu| here is 1, within a guard of 2.
+        assert table(build(), 2 * len(P)).dtype == np.int64
+        assert calls == [kernel] * 3
+        calls.clear()
+    # In a fan mu(0, m) = k - 1 passes a guard of 2 below the top, and the
+    # level or column of t above it is summed in Python ints.
+    for k, kernel in [(4, "_mobius_columns"), (16, "_mobius_levels")]:
+        P = fan(k)
+        exact = table(P, 2 * len(P))
+        assert exact.dtype == object
+        assert exact.tolist() == mobius_rows(P)
+        assert mobius(P).mu("0", "m") == k - 1
+        assert calls == [kernel]
+        calls.clear()
+
+
+def test_mobius_peak_memory_is_one_table():
+    """Besides the n x n int64 table, the level kernel allocates no n x n
+    temporary: its traced peak stays under 1.5 tables."""
+    P = cube_face_lattice(6)
+    tracemalloc.start()
+    try:
+        mobius(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * len(P) ** 2
 
 
 def test_posets_isomorphic():
