@@ -11,10 +11,8 @@ pass, and one cover at a time only to name the first bad one.  Heights come
 from one relaxation over the cover arrays.  Interval ranks are longest chain
 lengths above the minimal elements, filled one height level at a time.  The
 Möbius table is filled one height level at a time too, over the comparable
-triples x <= z < y, except on tall posets such as chains, where whole
-columns in topological order cost less.  Instances are immutable after
-construction; lazy caches are filled with idempotent writes and are safe to
-share between threads.
+triples x <= z < y.  Instances are immutable after construction; lazy caches
+are filled with idempotent writes and are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -595,91 +593,66 @@ class MobiusTable:
 
 # |mu| above 2^62 / n could overflow the int64 sum of n such values.
 _INT64_GUARD = 2**62
-_GATHER_ROWS = 128
-# The level kernel expands at most this many triples x <= z < y at once.
+# The Möbius table expands at most this many triples x <= z < y at once.
 _TRIPLE_CHUNK = 8192
 
 
 def mobius(P: FinitePoset) -> MobiusTable:
     """The full Möbius table by Hall's recursion mu(x, y) = -sum of mu(x, z)
-    over x <= z < y (Rota 1964), in one of two kernels chosen before any
-    work.  The level kernel does one subtraction per triple x <= z < y,
-    T = sum over z of |down z| (|up z| - 1) of them, with one Python pass per
-    height; the column loop adds whole columns of n entries, D = n * (strict
-    pairs) additions, with one Python pass per element.  The level kernel
-    runs when 8 T <= D, as on face posets (T/D <= 0.1), and the column loop
-    on tall posets such as chains (T/D about 1/3), where the level kernel is
-    several times slower.  Either table is int64 until a level or column
-    passes the guard, and Python ints (dtype=object) after it: each entry
-    sums fewer than n values, all under the guard, so the step that passes
-    it has not overflowed."""
+    over x <= z < y (Rota 1964), for all y of one height at a time: every
+    z < y lies lower, so mu(x, z) is final, and each triple x <= z < y
+    subtracts it from mu(x, y) in place, a chunk of triples at a time.  That
+    is T = sum over z of |down z| (|up z| - 1) subtractions, with one Python
+    pass per height and per chunk.  The table is int64 until a level passes
+    the guard, and Python ints (dtype=object) after it: each entry sums
+    fewer than n values, all under the guard, so the level that passes it
+    has not overflowed."""
     cached = P._cache.get("mobius")  # the values, as for rank_profile
     if cached is not None:
         return MobiusTable(P, cached)
     n = len(P)
-    leq = P.leq_matrix
-    down, up = np.count_nonzero(leq, axis=0), np.count_nonzero(leq, axis=1)
-    triples = int(down @ (up - 1))
-    dense = n * (int(up.sum()) - n)
-    kernel = _mobius_levels if 8 * triples <= dense else _mobius_columns
-    values = kernel(P, _INT64_GUARD // max(n, 1))
-    P._cache["mobius"] = values
-    return MobiusTable(P, values)
-
-
-def _mobius_levels(P: FinitePoset, guard) -> np.ndarray:
-    """mu(., y) for all y of one height at a time: every z < y lies lower,
-    so mu(x, z) is final, and each triple x <= z < y subtracts it from
-    mu(x, y) in place, a chunk of triples at a time."""
-    n = len(P)
+    guard = _INT64_GUARD // max(n, 1)
     height = _heights(P)[2]
-    # The pairs z <= y listed by upper element: the down-set of z is
-    # low[start[z] : start[z + 1]].  Flattening the transpose copies n^2
-    # booleans; it is done before the table exists, to keep the peak low.
-    upper, low = np.divmod(np.flatnonzero(P.leq_matrix.T), n)
-    size = np.bincount(upper, minlength=n)
+    # The elements by height, and the down-set of each in that order: the
+    # down-set of the element at position p is low[start[p] : start[p + 1]],
+    # int32 to halve the list.  Listing it copies n^2 booleans; that is done
+    # before the table exists, to keep the peak low.
+    by_height = np.argsort(height, kind="stable")
+    where = np.empty(n, dtype=np.intp)
+    where[by_height] = np.arange(n)
+    low = (np.flatnonzero(P.leq_matrix.T[by_height]) % n).astype(np.int32)
+    size = np.count_nonzero(P.leq_matrix, axis=0)[by_height]
     start = np.concatenate(([0], np.cumsum(size)))
-    strict = upper != low
-    zs, ys = low[strict], upper[strict]
-    order = np.argsort(height[ys], kind="stable")
-    zs, ys = zs[order], ys[order]
-    cuts = np.flatnonzero(np.diff(height[ys])) + 1
+    bounds = np.searchsorted(height[by_height], np.arange(int(height.max(initial=0)) + 2))
     table = np.eye(n, dtype=np.int64)
     flat = table.reshape(-1)  # flat[x * n + y] = mu(x, y)
-    for z, y in zip(np.split(zs, cuts), np.split(ys, cuts)):
-        # Triple t expands pair k = the last with first[k] <= t, to the
-        # (t - first[k])-th element of the down-set of z[k].
-        first = np.concatenate(([0], np.cumsum(size[z])))
-        for a in range(0, int(first[-1]), _TRIPLE_CHUNK):
-            t = np.arange(a, min(a + _TRIPLE_CHUNK, int(first[-1])))
-            k = np.searchsorted(first, t, side="right") - 1
-            row = low[start[z[k]] + t - first[k]] * n
-            np.subtract.at(flat, row + y[k], flat[row + z[k]])
+    for p0, p1 in zip(bounds[1:-1], bounds[2:]):
+        # The pairs z < y of the level: y at positions p0 .. p1 - 1.
+        y = np.repeat(by_height[p0:p1], size[p0:p1])
+        z = low[start[p0] : start[p1]].astype(np.intp)
+        strict = z != y
+        z, y = z[strict], y[strict]
+        # Triple t of the level belongs to the pair k with first[k] <= t <
+        # first[k + 1] and reads the (t - first[k])-th x of the down-set of
+        # z[k], at low[t + shift[k]].
+        first = np.concatenate(([0], np.cumsum(size[where[z]])))
+        shift = start[where[z]] - first[:-1]
+        total = int(first[-1])
+        for a in range(0, total, _TRIPLE_CHUNK):
+            b = min(a + _TRIPLE_CHUNK, total)
+            # The chunk meets pairs k0 .. k1 - 1, c[k] triples of each.
+            k0, k1 = np.searchsorted(first, (a, b - 1), side="right")
+            k0 -= 1
+            c = np.diff(np.clip(first[k0 : k1 + 1], a, b))
+            row = low[np.arange(a, b) + np.repeat(shift[k0:k1], c)].astype(np.intp)
+            row *= n
+            np.subtract.at(flat, row + np.repeat(y[k0:k1], c), flat[row + np.repeat(z[k0:k1], c)])
         # The level's entries off the diagonal are mu(z, y) over its pairs.
         if table.dtype != object and np.abs(flat[z * n + y]).max(initial=0) > guard:
             table = table.astype(object)
             flat = table.reshape(-1)
-    return table
-
-
-def _mobius_columns(P: FinitePoset, guard) -> np.ndarray:
-    """mu(., j) = -sum of mu(., z) over z < j, one column at a time in
-    topological order: the sum is 0 outside the down-set of j and gives
-    mu(i, j) for every i < j at once."""
-    n = len(P)
-    leq = P.leq_matrix
-    cols = np.zeros((n, n), dtype=np.int64)  # cols[j, i] = mu(i, j)
-    for j in P._topo:
-        below = np.flatnonzero(leq[:, j])
-        below = below[below != j]
-        col = cols[j]
-        # Gathered a block of rows at a time, to bound the temporary.
-        for start in range(0, below.size, _GATHER_ROWS):
-            col -= cols[below[start : start + _GATHER_ROWS]].sum(axis=0)
-        if cols.dtype != object and below.size and np.abs(col).max() > guard:
-            cols = cols.astype(object)
-        cols[j, j] = 1
-    return cols.T
+    P._cache["mobius"] = table
+    return MobiusTable(P, table)
 
 
 def mobius_from(P: FinitePoset, x) -> dict:

@@ -29,20 +29,6 @@ def suite_reports(field):
     return reports, elapsed
 
 
-def mobius_kernel_calls(patch):
-    """Patches `poset`'s Möbius kernels to record their names, in call
-    order, on the returned list."""
-    from posetlab import poset
-
-    calls = []
-    for name in ("_mobius_levels", "_mobius_columns"):
-        real = getattr(poset, name)
-        patch.setattr(
-            poset, name, lambda P, guard, name=name, real=real: calls.append(name) or real(P, guard)
-        )
-    return calls
-
-
 def brute_force_chains(elements, lt):
     """All chains of a poset by subset enumeration; exponential, tiny inputs only."""
     elements = list(elements)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import brute_force_reduced_euler, mobius_kernel_calls
+from conftest import brute_force_reduced_euler
 from poset_oracle import attach_max, mobius_row, posets_isomorphic
 from posetlab.complexes import order_complex
 from posetlab.errors import (
@@ -481,24 +481,23 @@ def mobius_rows(P):
 def test_exact_mobius_row_matches_fast_path(monkeypatch):
     from posetlab import poset as poset_module
 
-    calls = mobius_kernel_calls(monkeypatch)
     default = poset_module._INT64_GUARD
 
     def table(P, guard=default):
         monkeypatch.setattr(poset_module, "_INT64_GUARD", guard)
         return mobius(P)._values
 
-    for build, kernel in [
-        (lambda: cube_face_lattice(2), "_mobius_columns"),
-        (lambda: cube_face_lattice(3), "_mobius_levels"),
-        (lambda: cubical_complex_poset("grid", 2, 2), "_mobius_levels"),
+    for build in [
+        lambda: cube_face_lattice(2),
+        lambda: cube_face_lattice(3),
+        lambda: cubical_complex_poset("grid", 2, 2),
     ]:
         P = build()
         fast = table(P)
         assert fast.dtype == np.int64
         assert fast.tolist() == mobius_rows(P)
         # A guard of 0 switches the table to Python ints after the first
-        # level or column of an element that is not minimal.
+        # level above the minimal elements.
         fresh = build()
         exact = table(fresh, 0)
         assert exact.dtype == object
@@ -506,23 +505,20 @@ def test_exact_mobius_row_matches_fast_path(monkeypatch):
         assert is_lower_eulerian(fresh)
         # Every |mu| here is 1, within a guard of 2.
         assert table(build(), 2 * len(P)).dtype == np.int64
-        assert calls == [kernel] * 3
-        calls.clear()
     # In a fan mu(0, m) = k - 1 passes a guard of 2 below the top, and the
-    # level or column of t above it is summed in Python ints.
-    for k, kernel in [(4, "_mobius_columns"), (16, "_mobius_levels")]:
+    # level of t above it is summed in Python ints.
+    for k in (4, 16):
         P = fan(k)
         exact = table(P, 2 * len(P))
         assert exact.dtype == object
         assert exact.tolist() == mobius_rows(P)
         assert mobius(P).mu("0", "m") == k - 1
-        assert calls == [kernel]
-        calls.clear()
 
 
 def test_mobius_peak_memory_is_one_table():
-    """Besides the n x n int64 table, the level kernel allocates no n x n
-    temporary: its traced peak stays under 1.5 tables."""
+    """Besides the n x n int64 table, `mobius` allocates no n x n int64
+    temporary and expands its triples in bounded chunks: its traced peak
+    stays under 1.2 tables, which chunks of 32,768 triples exceed."""
     P = cube_face_lattice(6)
     tracemalloc.start()
     try:
@@ -530,7 +526,7 @@ def test_mobius_peak_memory_is_one_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * len(P) ** 2
+    assert peak < 1.2 * 8 * len(P) ** 2
 
 
 def test_posets_isomorphic():
