@@ -251,8 +251,23 @@ class _HVector:
         return head + "\n" + row + "\n"
 
 
-def _mobius_values(P, fld):
-    return {"name": P.name, "values": [[x, y, v] for (x, y), v in mobius(P).items()]}
+def _mobius_text(P, fld):
+    """`_dump` of {"name", "values": [[x, y, mu(x, y)], ...]} over the pairs
+    x <= y by name, written directly from the index arrays of the table:
+    each name is encoded once, each distinct value once, and one join
+    writes the pairs."""
+    rows, cols, values = mobius(P).arrays()
+    names = [encode_basestring_ascii(e) for e in P.elements]
+    heads = np.array([f"[\n      {e},\n      " for e in names], dtype=object)
+    middles = np.array([f"{e},\n      " for e in names], dtype=object)
+    values = values.tolist()
+    tails = {v: f"{v}\n    ],\n    " for v in set(values)}
+    parts = [None] * (3 * len(values))
+    parts[0::3] = heads[rows].tolist()
+    parts[1::3] = middles[cols].tolist()
+    parts[2::3] = map(tails.__getitem__, values)
+    pairs = "".join(parts).removesuffix(",\n    ")
+    return f'{{\n  "name": {encode_basestring_ascii(P.name)},\n  "values": [\n    {pairs}\n  ]\n}}\n'
 
 
 def _chi(instance, fld):
@@ -276,9 +291,10 @@ def _classify(instance, fld):
 
 
 # The invariants of `compute`, in the order `--help` lists them: name ->
-# (poset files only, payload of the instance and the field).
+# (poset files only, payload of the instance and the field).  The Möbius
+# payload is its JSON text already.
 INVARIANTS = {
-    "mobius": (True, _mobius_values),
+    "mobius": (True, _mobius_text),
     "psi": (True, lambda P, fld: {"name": P.name, "psi": rank_alternating_sum(P)}),
     "chi": (False, _chi),
     "simplicial-h": (True, _HVector(simplicial_h)),
@@ -315,7 +331,9 @@ def cmd_compute(args) -> int:
     fld = _field_from(args)
     if poset_only and not isinstance(instance, FinitePoset):
         raise UsageError("this invariant needs a poset input (a JSON file with covers)")
-    text = payload.tsv(instance) if args.format == "tsv" else _dump(payload(instance, fld))
+    text = payload.tsv(instance) if args.format == "tsv" else payload(instance, fld)
+    if not isinstance(text, str):
+        text = _dump(text)
     _emit(text, args.output)
     return 0
 

@@ -70,13 +70,9 @@ def _cube_face_id(word: str) -> str:
     return word if word else "c"
 
 
-def cube_face_lattice(n: int) -> FinitePoset:
-    """Faces of the n-cube as words over {0,1,x}, plus the empty face 'e'.
-
-    The empty face is the minimum; the all-x word (the cube itself) is the
-    maximum, so the lattice has 3^n + 1 elements and rank n + 1.
-    """
-    _check_range("cube dimension", n, 0, 6)
+def _cube_faces(n: int):
+    """The faces of the n-cube as words over {0,1,x} in word order, after the
+    empty face 'e', and the covers of its face lattice among them."""
     words = [""]
     for _ in range(n):
         words = [w + c for w in words for c in "01x"]
@@ -91,6 +87,17 @@ def cube_face_lattice(n: int) -> FinitePoset:
                     covers.append(
                         (_cube_face_id(w[:i] + fixed + w[i + 1 :]), _cube_face_id(w))
                     )
+    return elements, covers
+
+
+def cube_face_lattice(n: int) -> FinitePoset:
+    """Faces of the n-cube as words over {0,1,x}, plus the empty face 'e'.
+
+    The empty face is the minimum; the all-x word (the cube itself) is the
+    maximum, so the lattice has 3^n + 1 elements and rank n + 1.
+    """
+    _check_range("cube dimension", n, 0, 6)
+    elements, covers = _cube_faces(n)
     return FinitePoset.from_covers(elements, covers, name=f"cube-lattice-{n}")
 
 
@@ -136,11 +143,14 @@ def cubical_complex_poset(kind: str, *params) -> FinitePoset:
     if kind == "cube-boundary":
         (n,) = params
         _check_range("cube dimension", n, 1, 6)
-        lattice = cube_face_lattice(n)
-        top = lattice.maximal_elements()[0]
-        proper = [e for e in lattice.elements if e != top]
-        poset = lattice.induced(proper, name=f"cube-boundary-{n}")
-        return poset
+        # The cube's face lattice without its top, the all-x word.
+        elements, covers = _cube_faces(n)
+        top = "x" * n
+        return FinitePoset.from_covers(
+            [e for e in elements if e != top],
+            [c for c in covers if c[1] != top],
+            name=f"cube-boundary-{n}",
+        )
     if kind == "grid":
         a, b = params
         _check_range("grid side", a, 1, 4)

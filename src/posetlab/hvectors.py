@@ -87,33 +87,15 @@ def _require_lower_eulerian(P):
         )
 
 
-def _grouped_sum(terms, powers):
-    """The sum of IntPolynomial(coeffs) * powers[r] over the (r, coeffs)
-    terms.  Coefficients are added per r first, so each r costs one product."""
-    sums = {}
-    for r, coeffs in terms:
-        acc = sums.setdefault(r, [])
-        acc.extend([0] * (len(coeffs) - len(acc)))
-        for t, c in enumerate(coeffs):
-            acc[t] += c
-    total = IntPolynomial()
-    for r, acc in sums.items():
-        total = total + IntPolynomial(acc) * powers[r]
-    return total
+def _toric_levels(P):
+    """(Z_k, F_k, G_k) for k = 0..d: the elements of rank k, by name, and the
+    coefficient rows of their first and second face polynomials.
 
-
-def toric_face_polynomials(P: FinitePoset) -> dict:
-    """The bottom-up pair of polynomials attached to every element.
-
-    The pair for the minimum is (1, 1); above it, the first polynomial sums
-    the second over the strict lower set weighted by (q-1)^(interval rank - 1),
-    and the second truncates-and-differences the first halfway up its degree.
-    With Z_k the elements of rank k and G_j the coefficient rows of the
-    second polynomials on Z_j, the first polynomials on Z_k are
-    F_k = sum over j < k of leq[Z_j, Z_k]^T G_j (q-1)^(k-j-1): one matrix
-    product per pair of ranks.  The products run in int64 while a bound on
-    their magnitudes stays under the guard `mobius` uses, and on Python ints
-    (dtype=object) from the first rank where it does not.
+    With G_j the rows on Z_j, F_k = sum over j < k of
+    leq[Z_j, Z_k]^T G_j (q-1)^(k-j-1): one matrix product per pair of ranks.
+    The products run in int64 while a bound on their magnitudes stays under
+    the guard `mobius` uses, and on Python ints (dtype=object) from the first
+    rank where it does not.
     """
     _require_lower_eulerian(P)
     d = _graded_rank(P)
@@ -125,9 +107,8 @@ def toric_face_polynomials(P: FinitePoset) -> dict:
     ends = np.cumsum(profile.rank_counts()).tolist()
     Z = [order[a:b] for a, b in zip([0] + ends, ends)]  # the elements of each rank
     powers = [(Q_MINUS_ONE**e).coeffs for e in range(d)]
-    one = IntPolynomial.constant(1)
-    out = {els[m]: (one, one)}
     G = [np.ones((1, 1), dtype=np.int64)]
+    yield Z[0], G[0], G[0]
     largest = [1]  # the largest |coefficient| in G[j]
     for k in range(1, d + 1):
         # |F_k| <= sum |Z_j| |G_j| 2^(k-j-1), and |G_k| <= 2 |F_k|.
@@ -141,23 +122,40 @@ def toric_face_polynomials(P: FinitePoset) -> dict:
         Gk = np.diff(F[:, : (k - 1) // 2 + 1], axis=1, prepend=0)
         G.append(Gk)
         largest.append(int(np.abs(Gk).max()))
-        for z, f, g in zip(Z[k], F.tolist(), Gk.tolist()):
-            out[els[z]] = (IntPolynomial(f), IntPolynomial(g))
-    return out
+        yield Z[k], F, Gk
+
+
+def toric_face_polynomials(P: FinitePoset) -> dict:
+    """The bottom-up pair of polynomials attached to every element.
+
+    The pair for the minimum is (1, 1); above it, the first polynomial sums
+    the second over the strict lower set weighted by (q-1)^(interval rank - 1),
+    and the second truncates-and-differences the first halfway up its degree.
+    They are computed one rank at a time (`_toric_levels`).
+    """
+    els = P.elements
+    return {
+        els[z]: (IntPolynomial(f), IntPolynomial(g))
+        for Z, F, G in _toric_levels(P)
+        for z, f, g in zip(Z, F.tolist(), G.tolist())
+    }
 
 
 def toric_h(P: FinitePoset) -> HVectorReport:
     """Generalized h-vector from the face-polynomial recursion.
 
-    The defining sum produces h_d + h_{d-1} q + ... + h_0 q^d, so the entry
-    order is reversed off the coefficient vector.
+    The defining sum of g_y (q-1)^(d - rank y) over the elements y produces
+    h_d + h_{d-1} q + ... + h_0 q^d, so the entry order is reversed off the
+    coefficient vector.  It is summed one rank k at a time: the column sums
+    of G_k, in Python ints, times (q-1)^(d-k).
     """
     d = _graded_rank(P)
-    polys = toric_face_polynomials(P)
-    ranks = rank_profile(P).ranks
-    powers = [Q_MINUS_ONE ** (d - r) for r in range(d + 1)]
-    total = _grouped_sum(((ranks[y], g.coeffs) for y, (_, g) in polys.items()), powers)
-    coeffs = total.padded(d + 1)
+    coeffs = [0] * (d + 1)
+    for k, (_, _, G) in enumerate(_toric_levels(P)):
+        g = G.sum(axis=0, dtype=object).tolist()
+        for c, b in enumerate((Q_MINUS_ONE ** (d - k)).coeffs):
+            for t, a in enumerate(g):
+                coeffs[c + t] += a * b
     return HVectorReport("toric", tuple(reversed(coeffs)), d)
 
 

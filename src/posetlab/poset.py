@@ -375,11 +375,14 @@ def _checked_cover_indices(index, covers):
     """`_cover_indices` one cover at a time, raising for the first bad one."""
     seen = set()
     lo, hi = [], []
-    for a, b in covers:
-        if a not in index:
-            raise UnknownElementError(a)
-        if b not in index:
-            raise UnknownElementError(b)
+    for cover in covers:
+        try:
+            a, b = cover
+            unknown = [x for x in (a, b) if x not in index]
+        except (TypeError, ValueError):  # not a pair, or an unhashable id
+            raise PosetLabError(f"cover {cover!r} is not a pair of element ids") from None
+        if unknown:
+            raise UnknownElementError(unknown[0])
         if a == b:
             raise CycleDetectedError([a])
         if (a, b) in seen:
@@ -577,18 +580,25 @@ class MobiusTable:
             raise NotComparableError(x, y)
         return int(self._values[i, j])
 
-    def items(self):
-        """((x, y), mu(x, y)) over the pairs x <= y, ordered by the name of
-        x, then of y: a lexsort on the ranks of the names."""
+    def arrays(self):
+        """The pairs x <= y as index arrays `rows` and `cols`, ordered by the
+        name of x, then of y (one sort on the ranks of the two names), and
+        `values`, mu(x, y) over them: int64, or Python ints past the guard."""
         els = self.poset.elements
-        rank = np.empty(len(els), dtype=np.intp)
-        rank[sorted(range(len(els)), key=els.__getitem__)] = np.arange(len(els))
-        rows, cols = np.nonzero(self.poset.leq_matrix)
-        order = np.lexsort((rank[cols], rank[rows]))
+        n = len(els)
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=els.__getitem__)] = np.arange(n)
+        rows, cols = np.divmod(np.flatnonzero(self.poset.leq_matrix), n)
+        order = np.argsort(rank[rows] * n + rank[cols])
         rows, cols = rows[order], cols[order]
-        names = np.array(els, dtype=object)
+        return rows, cols, self._values[rows, cols]
+
+    def items(self):
+        """((x, y), mu(x, y)) over the pairs x <= y, in the order of `arrays`."""
+        rows, cols, values = self.arrays()
+        names = np.array(self.poset.elements, dtype=object)
         pairs = zip(names[rows].tolist(), names[cols].tolist())
-        return zip(pairs, self._values[rows, cols].tolist())
+        return zip(pairs, values.tolist())
 
 
 # |mu| above 2^62 / n could overflow the int64 sum of n such values.
@@ -734,15 +744,37 @@ def atoms_below(P: FinitePoset, y) -> int:
 
 
 def is_meet_semilattice(P: FinitePoset) -> bool:
-    """Every pair of elements has a greatest lower bound."""
+    """Every pair of elements has a greatest lower bound.
+
+    Only two kinds of pairs are tested: two lower covers of one element,
+    and two maximal elements, the lower covers of an adjoined top 1.  That
+    suffices by this lemma: in a finite poset with a top, if any two
+    elements with a common upper cover have a meet, then every pair has one.
+    Proof: induct on u; every pair of elements lies below the top.  Let
+    x, y <= u, not both below any v < u; if x = u or y = u, the other one is
+    the meet.  Else take x <= x' < u and y <= y' < u, both covered by u, and
+    let m = x' ^ y', which exists (x' = y' would put x and y below it).
+    Every common lower bound of x and y lies below m, so
+    x ^ y = (x ^ m) ^ y, and both meets exist by induction: x and m lie
+    below x' < u, then x ^ m and y below y' < u.  Adjoining a top changes no
+    meet of two elements of P.
+    """
     if "meet" not in P._cache:
         # The common down-set of a pair is a principal down-set iff the pair
         # has a meet.
         down = P._down_sets()
         principal = set(down)
+        index = P._index
+        groups = [[] for _ in range(len(P))]  # the down-sets of u's lower covers
+        has_upper = [False] * len(P)
+        for a, b in P.covers:
+            groups[index[b]].append(down[index[a]])
+            has_upper[index[a]] = True
+        groups.append([d for d, above in zip(down, has_upper) if not above])  # the maximal ones
         P._cache["meet"] = all(
-            principal.issuperset(map(a.__and__, down[i + 1 :]))
-            for i, a in enumerate(down)
+            principal.issuperset(map(a.__and__, group[k + 1 :]))
+            for group in groups
+            for k, a in enumerate(group)
         )
     return P._cache["meet"]
 

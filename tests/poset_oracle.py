@@ -57,7 +57,12 @@ def from_covers(elements, covers, name="poset"):
     n = len(elements)
     seen = set()
     cover_idx = []
-    for a, b in covers:
+    for cover in covers:
+        try:
+            a, b = cover
+            hash(a), hash(b)
+        except (TypeError, ValueError):
+            raise PosetLabError(f"cover {cover!r} is not a pair of element ids") from None
         if a not in index:
             raise UnknownElementError(a)
         if b not in index:

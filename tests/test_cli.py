@@ -1,19 +1,23 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import drawn_poset, rp2
-from posetlab import cli
+from posetlab import cli, poset as poset_module
 from posetlab.cli import main
 from posetlab.complexes import SimplicialComplex, complex_to_dict, reduced_order_complex
 from posetlab.generators import face_poset_of_complex, make_family
 from posetlab.homology import LinkScan, reduced_homology
 from posetlab.linalg import FieldSpec
-from posetlab.poset import build_from_covers, jsonable, poset_from_dict, poset_to_dict
+from posetlab.poset import build_from_covers, jsonable, mobius, poset_from_dict, poset_to_dict
 
 
 def run_cli(*argv):
@@ -150,6 +154,76 @@ def test_compute_mobius(tmp_path, capsys):
     assert values[("e", "12")] == 1
     assert values[("e", "1")] == -1
     assert values[("1", "1")] == 1
+
+
+def mobius_dumps(P):
+    """The `compute mobius` bytes by `json.dumps`, over the pairs sorted by
+    name and read one at a time off `mu`."""
+    table = mobius(P)
+    pairs = sorted((x, y) for x in P.elements for y in P.elements if P.leq(x, y))
+    payload = {"name": P.name, "values": [[x, y, table.mu(x, y)] for x, y in pairs]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def odd_names():
+    """Names needing escapes, or that sort apart from their element order."""
+    ids = ['q"uote', "back\\slash", "é☃", "a::b", "z", "\x00\n"]
+    covers = [(ids[0], ids[2]), (ids[1], ids[2]), (ids[2], ids[3]), (ids[4], ids[3]), (ids[3], ids[5])]
+    return build_from_covers(ids, covers, name='odd "names" \\ ☃')
+
+
+@pytest.mark.parametrize("build", [
+    odd_names,
+    lambda: build_from_covers(["solo"], [], name="one"),
+    lambda: make_family("cube-boundary", 3),
+    lambda: make_family("interval", "boolean", 3),
+    lambda: make_family("random-poset", 6, 2, 5),
+])
+def test_compute_mobius_bytes_match_json_dumps(tmp_path, capsys, build):
+    P = build()
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(poset_to_dict(P), ensure_ascii=False), encoding="utf-8")
+    assert run_cli("compute", "mobius", str(f)) == 0
+    assert capsys.readouterr().out == mobius_dumps(poset_from_dict(poset_to_dict(P)))
+
+
+def test_compute_mobius_bytes_past_the_int64_guard(tmp_path, capsys, monkeypatch):
+    """With the guard at 0 the table holds Python ints, and a fan's
+    mu(0, m) = 15 is written as json.dumps writes it."""
+    monkeypatch.setattr(poset_module, "_INT64_GUARD", 0)
+    atoms = [f"a{i}" for i in range(16)]
+    covers = [("0", a) for a in atoms] + [(a, "m") for a in atoms] + [("m", "t")]
+    P = build_from_covers(["0", *atoms, "m", "t"], covers, name="fan-16")
+    f = tmp_path / "fan.json"
+    f.write_text(json.dumps(poset_to_dict(P)))
+    assert run_cli("compute", "mobius", str(f)) == 0
+    out = capsys.readouterr().out
+    P = poset_from_dict(poset_to_dict(P))
+    assert mobius(P)._values.dtype == object
+    assert out == mobius_dumps(P)
+    assert [["0", "m", 15]] == [v for v in json.loads(out)["values"] if v[:2] == ["0", "m"]]
+
+
+def test_python_dash_m_posetlab_matches_main(tmp_path, capsys):
+    """`python -m posetlab` runs `cli.main`: the same exit codes 0, 1 and 2
+    and the same stdout, with only `src` on the path."""
+    glued = tmp_path / "glued.json"
+    run_cli("generate", "glued", "2", "-o", str(glued))
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code in [
+        (["generate", "boolean", "2"], 0),
+        (["check", "meet-semilattice", str(glued)], 1),
+        (["compute", "mobius", str(tmp_path / "missing.json")], 2),
+    ]:
+        child = subprocess.run(
+            [sys.executable, "-m", "posetlab", *argv], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run_cli(*argv) == child.returncode == code
+        captured = capsys.readouterr()
+        assert child.stdout == captured.out
+        assert child.stderr == captured.err
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -306,6 +380,18 @@ def test_schema_errors_exit_2_and_name_the_entry(tmp_path, capsys, payload, toke
     assert run_cli("compute", "chi", str(f)) == 2
     err = capsys.readouterr().err
     assert token in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("covers, message", [
+    ([["lonely"]], "cover ['lonely'] is not a pair of element ids"),
+    ([["lonely", "b", "b"]], "cover ['lonely', 'b', 'b'] is not a pair of element ids"),
+    ([["lonely", ["b"]]], "cover entry ['b'] is not a string id"),
+])
+def test_malformed_cover_messages(tmp_path, capsys, covers, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"name": "m", "elements": ["lonely", "b"], "covers": covers}))
+    assert run_cli("compute", "mobius", str(f)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_file_without_a_name_takes_the_default(tmp_path, capsys):

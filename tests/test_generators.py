@@ -33,6 +33,20 @@ def test_boolean_lattice_sizes():
         boolean_lattice(7)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cube_boundary_is_the_cube_lattice_without_its_top(n):
+    """Built from the cube's covers, the same poset as the subposet of its
+    face lattice on every face but the top: elements in the same order,
+    the same covers and file bytes."""
+    P = make_family("cube-boundary", n)
+    L = cube_face_lattice(n)
+    (top,) = L.maximal_elements()
+    Q = L.induced([e for e in L.elements if e != top], name=f"cube-boundary-{n}")
+    assert P.elements == Q.elements
+    assert P.covers == Q.covers
+    assert json.dumps(poset_to_dict(P)) == json.dumps(poset_to_dict(Q))
+
+
 def test_cube_face_lattice_counts():
     assert len(cube_face_lattice(0)) == 2
     assert len(cube_face_lattice(2)) == 10  # 1 + 4 + 4 + 1

@@ -344,6 +344,22 @@ def test_from_covers_matches_oracle_on_hand_picked_faults(elements, covers):
     assert got == any_outcome(oracle.from_covers, elements, covers)
 
 
+@pytest.mark.parametrize("covers, shown", [
+    ([("a", "b"), ("a", "b", "c")], "('a', 'b', 'c')"),
+    ([("a",)], "('a',)"),
+    ([("a", ["b"])], "('a', ['b'])"),
+    ([7], "7"),
+])
+def test_malformed_covers_raise_a_poset_error_naming_the_cover(covers, shown):
+    """Not a pair, or an id that is no dict key: a PosetLabError, not the
+    ValueError or TypeError of unpacking or hashing it."""
+    for build in (FinitePoset.from_covers, oracle.from_covers):
+        with pytest.raises(PosetLabError) as info:
+            build(["a", "b", "c"], covers)
+        assert type(info.value) is PosetLabError
+        assert str(info.value) == f"cover {shown} is not a pair of element ids"
+
+
 def test_per_cover_loop_runs_only_on_faulty_covers(monkeypatch):
     calls = []
     loop = poset_module._checked_cover_indices
@@ -444,6 +460,40 @@ def test_near_misses_fail_the_cube_and_boolean_tests():
         if name != "two-squares":
             assert not is_cubical_poset(P), name
         assert not is_simplicial_poset(P), name
+
+
+def bowtie():
+    """0 < a, b < c, d: every pair has a meet but c, d, the two maximal
+    elements, whose common lower bounds a and b have no greatest."""
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")]
+    return FinitePoset.from_covers(["0", "a", "b", "c", "d"], covers, name="bowtie")
+
+
+MEET_CASES = [(f"{name}-min", lambda build=build: build().remove_min()) for name, build in NEAR_MISSES] + [
+    ("antichain", lambda: FinitePoset.from_covers(["a", "b"], [], name="antichain")),
+    ("bowtie", bowtie),
+    ("bowtie-min", lambda: bowtie().remove_min()),
+    ("bowtie-plus-top", lambda: oracle.attach_max(bowtie())),
+]
+
+
+@pytest.mark.parametrize("name, build", MEET_CASES, ids=[n for n, _ in MEET_CASES])
+def test_meet_test_matches_oracle_off_the_minimum(name, build):
+    """The cover-pair meet test against the test on every pair, on posets
+    without a minimum and on the bowtie with and without a top."""
+    P = build()
+    assert is_meet_semilattice(P) == oracle.is_meet_semilattice(P)
+
+
+def test_bowtie_fails_the_meet_test_only_at_its_maximal_pair():
+    """Its one failing pair shares no upper cover, so only the adjoined top's
+    pairs, the maximal elements, can find it; with either of them gone the
+    rest is a meet-semilattice."""
+    assert not is_meet_semilattice(bowtie())
+    for drop in "cd":
+        P = bowtie()
+        assert is_meet_semilattice(P.induced([e for e in P.elements if e != drop]))
+    assert not is_meet_semilattice(FinitePoset.from_covers(["a", "b"], []))
 
 
 def test_cube_test_runs_once_per_poset(monkeypatch):
