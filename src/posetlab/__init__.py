@@ -24,7 +24,6 @@ from .homology import (
     maximal_interval_classes,
     reduced_homology,
 )
-from .intpoly import IntPolynomial
 from .linalg import DEFAULT_PRIME, FieldSpec, active_backend
 from .poset import (
     FinitePoset,

@@ -356,11 +356,17 @@ class ComplexClasses:
     witnesses: dict = dataclass_field(default_factory=dict)
 
 
+def _bad_top(vector):
+    """(lowest degree below the top with nonzero homology or None, top Betti
+    number) of a reduced Betti vector, degrees -1 up."""
+    bad = next((i - 1 for i in range(len(vector) - 1) if vector[i]), None)
+    return bad, vector[-1]
+
+
 def _link_homology(link, fld):
-    """(lowest degree below the top with nonzero homology or None, top Betti number)."""
+    """`_bad_top` of the link's reduced Betti vector."""
     ccr = chain_complex(link, fld)
-    bad = next((i for i in range(-1, link.dim) if ccr.betti(i) != 0), None)
-    return bad, ccr.betti(link.dim)
+    return _bad_top([ccr.betti(i) for i in range(-1, link.dim + 1)])
 
 
 class LinkScan:
@@ -491,12 +497,6 @@ def _join_vector(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _bad_top(vector):
-    """`_link_homology` read off a reduced Betti vector."""
-    bad = next((i - 1 for i in range(len(vector) - 1) if vector[i]), None)
-    return bad, vector[-1]
 
 
 class IntervalBetti:

@@ -1,26 +1,30 @@
 """Simplicial, toric, short-cubical and cubical h-vectors.
 
-All pipelines run on exact integer polynomials; the alternating-sign
-expansions of (q-1)^k cancel exactly or not at all, so any arithmetic slip
-surfaces as a hard failure instead of a wrong number.  The toric recursion
-runs one rank at a time on coefficient matrices, in int64 while a bound on
-the coefficients allows it and on Python integers beyond that bound.
+Every h-vector is a tuple of Python ints, lowest power of q first.  The
+alternating-sign expansions of (1-q)^k and (q-1)^k are closed-form binomial
+rows, and the cubical h-vector divides by 1+q exactly or raises, so an
+arithmetic slip surfaces as a hard failure instead of a wrong number.  The
+toric recursion runs one rank at a time on coefficient matrices, in int64
+while a bound on the coefficients allows it and on Python integers beyond
+that bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import comb
 
 import numpy as np
 
 from .errors import (
+    InexactDivisionError,
     NotCubicalError,
     NotLowerGradedError,
     NotSimplicialError,
     PosetLabError,
     UpsetNotSimplicialError,
 )
-from .intpoly import ONE_MINUS_Q, ONE_PLUS_Q, Q, Q_MINUS_ONE, IntPolynomial
 from .poset import (
     _INT64_GUARD,
     FinitePoset,
@@ -55,25 +59,32 @@ def _rank_counts(P):
     return rank_profile(P).rank_counts()
 
 
+def _expand(terms, length):
+    """Coefficients of q^0..q^(length-1) in the sum of c q^i (1-q)^e over
+    the triples (c, i, e) of `terms`."""
+    out = [0] * length
+    for c, i, e in terms:
+        for t in range(e + 1):
+            out[i + t] += (-1) ** t * comb(e, t) * c
+    return tuple(out)
+
+
+def _q_minus_one(e):
+    """Coefficients of (q-1)^e, lowest power first."""
+    return tuple((-1) ** (e - t) * comb(e, t) for t in range(e + 1))
+
+
 # -- simplicial ---------------------------------------------------------------
 
 
-def simplicial_h_polynomial(P: FinitePoset) -> IntPolynomial:
+def simplicial_h(P: FinitePoset) -> HVectorReport:
+    """Entries h_0..h_d of the simplicial h-vector of a simplicial poset:
+    the coefficients of the sum of f_(i-1) q^i (1-q)^(d-i)."""
     if not is_simplicial_poset(P):
         raise NotSimplicialError(f"poset {P.name!r} is not simplicial")
     d = _graded_rank(P)
-    counts = _rank_counts(P)
-    poly = IntPolynomial()
-    for i, c in enumerate(counts):
-        poly = poly + c * Q**i * ONE_MINUS_Q ** (d - i)
-    return poly
-
-
-def simplicial_h(P: FinitePoset) -> HVectorReport:
-    """Entries h_0..h_d of the simplicial h-vector of a simplicial poset."""
-    poly = simplicial_h_polynomial(P)
-    d = _graded_rank(P)
-    return HVectorReport("simplicial", poly.padded(d + 1), d)
+    terms = ((c, i, d - i) for i, c in enumerate(_rank_counts(P)))
+    return HVectorReport("simplicial", _expand(terms, d + 1), d)
 
 
 # -- toric --------------------------------------------------------------------
@@ -87,9 +98,10 @@ def _require_lower_eulerian(P):
         )
 
 
-def _toric_levels(P):
-    """(Z_k, F_k, G_k) for k = 0..d: the elements of rank k, by name, and the
-    coefficient rows of their first and second face polynomials.
+def _toric_levels(P, d):
+    """(Z_k, F_k, G_k) for k = 0..d, on a lower Eulerian P graded of rank d:
+    the elements of rank k, by name, and the coefficient rows of their first
+    and second face polynomials.
 
     With G_j the rows on Z_j, F_k = sum over j < k of
     leq[Z_j, Z_k]^T G_j (q-1)^(k-j-1): one matrix product per pair of ranks.
@@ -97,8 +109,6 @@ def _toric_levels(P):
     the guard `mobius` uses, and on Python ints (dtype=object) from the first
     rank where it does not.
     """
-    _require_lower_eulerian(P)
-    d = _graded_rank(P)
     els = P.elements
     m = P.index(P.minimum())
     profile = rank_profile(P)
@@ -106,7 +116,7 @@ def _toric_levels(P):
     order = sorted(range(len(P)), key=lambda i: (rank[i], els[i]))
     ends = np.cumsum(profile.rank_counts()).tolist()
     Z = [order[a:b] for a, b in zip([0] + ends, ends)]  # the elements of each rank
-    powers = [(Q_MINUS_ONE**e).coeffs for e in range(d)]
+    powers = [_q_minus_one(e) for e in range(d)]
     G = [np.ones((1, 1), dtype=np.int64)]
     yield Z[0], G[0], G[0]
     largest = [1]  # the largest |coefficient| in G[j]
@@ -126,17 +136,19 @@ def _toric_levels(P):
 
 
 def toric_face_polynomials(P: FinitePoset) -> dict:
-    """The bottom-up pair of polynomials attached to every element.
+    """The bottom-up pair of polynomials attached to every element, as
+    coefficient tuples, lowest power first, without trailing zeros.
 
     The pair for the minimum is (1, 1); above it, the first polynomial sums
     the second over the strict lower set weighted by (q-1)^(interval rank - 1),
     and the second truncates-and-differences the first halfway up its degree.
     They are computed one rank at a time (`_toric_levels`).
     """
+    _require_lower_eulerian(P)
     els = P.elements
     return {
-        els[z]: (IntPolynomial(f), IntPolynomial(g))
-        for Z, F, G in _toric_levels(P)
+        els[z]: (tuple(np.trim_zeros(f, "b")), tuple(np.trim_zeros(g, "b")))
+        for Z, F, G in _toric_levels(P, _graded_rank(P))
         for z, f, g in zip(Z, F.tolist(), G.tolist())
     }
 
@@ -150,10 +162,11 @@ def toric_h(P: FinitePoset) -> HVectorReport:
     of G_k, in Python ints, times (q-1)^(d-k).
     """
     d = _graded_rank(P)
+    _require_lower_eulerian(P)
     coeffs = [0] * (d + 1)
-    for k, (_, _, G) in enumerate(_toric_levels(P)):
+    for k, (_, _, G) in enumerate(_toric_levels(P, d)):
         g = G.sum(axis=0, dtype=object).tolist()
-        for c, b in enumerate((Q_MINUS_ONE ** (d - k)).coeffs):
+        for c, b in enumerate(_q_minus_one(d - k)):
             for t, a in enumerate(g):
                 coeffs[c + t] += a * b
     return HVectorReport("toric", tuple(reversed(coeffs)), d)
@@ -187,42 +200,33 @@ def _require_cubical(P):
         raise NotCubicalError(f"poset {P.name!r} is not cubical")
 
 
-def short_cubical_h_polynomial(P: FinitePoset) -> IntPolynomial:
+def short_cubical_h(P: FinitePoset) -> HVectorReport:
+    """Entries h^sc_0..h^sc_{d-1}, the coefficients of the sum of
+    f_(i-1) (2q)^i (1-q)^(d-i-1) over i < d; length d by construction."""
     _require_cubical(P)
     d = _graded_rank(P)
     if d < 1:
         raise PosetLabError("cubical h-vectors need rank at least 1")
     counts = _rank_counts(P)
-    two_q = IntPolynomial((0, 2))
-    poly = IntPolynomial()
-    for i in range(d):
-        poly = poly + counts[i + 1] * two_q**i * ONE_MINUS_Q ** (d - i - 1)
-    return poly
-
-
-def short_cubical_h(P: FinitePoset) -> HVectorReport:
-    """Entries h^sc_0..h^sc_{d-1}; length d by construction."""
-    poly = short_cubical_h_polynomial(P)
-    d = _graded_rank(P)
-    return HVectorReport("short-cubical", poly.padded(d), d)
+    terms = ((counts[i + 1] << i, i, d - i - 1) for i in range(d))
+    return HVectorReport("short-cubical", _expand(terms, d), d)
 
 
 def cubical_h(P: FinitePoset) -> HVectorReport:
     """Cubical h-vector via exact division by (1+q).
 
-    The dividend is 2^(d-1) + q*h^sc(q) + (-2)^(d-1) chi~ q^(d+1); a nonzero
-    remainder can only come from corrupted input and raises.
+    The dividend is 2^(d-1) + q*h^sc(q) + (-2)^(d-1) chi~ q^(d+1); it is
+    divided from the top down, and a nonzero remainder can only come from
+    corrupted input and raises.
     """
-    sc = short_cubical_h_polynomial(P)
-    d = _graded_rank(P)
-    chi = rank_alternating_sum(P)
-    dividend = (
-        IntPolynomial.constant(2 ** (d - 1))
-        + Q * sc
-        + IntPolynomial.monomial(d + 1, (-2) ** (d - 1) * chi)
-    )
-    quotient = dividend.divide_exact(ONE_PLUS_Q)
-    return HVectorReport("cubical", quotient.padded(d + 1), d)
+    sc = short_cubical_h(P)
+    d = sc.rank
+    rem = [2 ** (d - 1), *sc.entries, (-2) ** (d - 1) * rank_alternating_sum(P)]
+    for i in range(d + 1, 0, -1):
+        rem[i - 1] -= rem[i]  # rem[i] is now the coefficient of q^(i-1)
+    if rem[0]:
+        raise InexactDivisionError(f"cubical dividend of {P.name!r} leaves remainder {rem[0]} mod 1+q")
+    return HVectorReport("cubical", tuple(rem[1:]), d)
 
 
 def cubical_h_penultimate_direct(P: FinitePoset) -> int:
@@ -246,14 +250,15 @@ def cubical_h_penultimate_direct(P: FinitePoset) -> int:
 
 
 def hetyei_decomposition_check(P: FinitePoset):
-    """Short cubical h-polynomial against the sum of simplicial h-polynomials
-    of the atom upsets; returns (matches, residual polynomial)."""
-    sc = short_cubical_h_polynomial(P)
-    total = IntPolynomial()
+    """Short cubical h-vector against the sum of the simplicial h-vectors of
+    the atom upsets; returns (matches, residual coefficients), the residual
+    padded to the longest of them."""
+    sc = short_cubical_h(P).entries
+    ups = []
     for x in sorted(P.atoms()):
         up = P.upset(x)
         if not is_simplicial_poset(up):
             raise UpsetNotSimplicialError(x)
-        total = total + simplicial_h_polynomial(up)
-    residual = sc - total
-    return residual.is_zero(), residual
+        ups.append(simplicial_h(up).entries)
+    residual = tuple(c - sum(col) for c, *col in zip_longest(sc, *ups, fillvalue=0))
+    return not any(residual), residual

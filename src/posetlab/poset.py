@@ -593,13 +593,6 @@ class MobiusTable:
         rows, cols = rows[order], cols[order]
         return rows, cols, self._values[rows, cols]
 
-    def items(self):
-        """((x, y), mu(x, y)) over the pairs x <= y, in the order of `arrays`."""
-        rows, cols, values = self.arrays()
-        names = np.array(self.poset.elements, dtype=object)
-        pairs = zip(names[rows].tolist(), names[cols].tolist())
-        return zip(pairs, values.tolist())
-
 
 # |mu| above 2^62 / n could overflow the int64 sum of n such values.
 _INT64_GUARD = 2**62

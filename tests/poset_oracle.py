@@ -26,7 +26,6 @@ from posetlab.errors import (
 )
 from posetlab.generators import cube_face_lattice
 from posetlab.hvectors import _graded_rank
-from posetlab.intpoly import Q_MINUS_ONE, IntPolynomial
 from posetlab.poset import FinitePoset, _bitsets, _toposort
 
 _NO_CHAIN = -1
@@ -286,25 +285,46 @@ def is_cubical(P):
     return all(_cube_interval(P, rho, x, templates) for x in P.elements)
 
 
+def _times_q_minus_one(coeffs, e):
+    """The coefficient list of coeffs * (q - 1)^e, one factor at a time."""
+    for _ in range(e):
+        coeffs = [a - b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _add_into(total, coeffs):
+    total.extend([0] * (len(coeffs) - len(total)))
+    for i, c in enumerate(coeffs):
+        total[i] += c
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def toric_face_polynomials(P):
-    """{element: (f, g)}, summing over every pair y < z with its own power of
-    (q - 1); the caller checks lower Eulerian and graded first."""
+    """{element: (f, g)} as trimmed coefficient tuples, lowest power first,
+    summing over every pair y < z with its own power of (q - 1); the caller
+    checks lower Eulerian and graded first."""
     rho = rank_matrix(P)
     bottom = P.minimum()
     m = P.index(bottom)
     leq = P.leq_matrix
-    out = {bottom: (IntPolynomial.constant(1), IntPolynomial.constant(1))}
+    out = {bottom: ((1,), (1,))}
     order = sorted(P.elements, key=lambda e: (rho[m, P.index(e)], e))
     for z in order[1:]:
         iz = P.index(z)
-        f = IntPolynomial()
+        f = []
         for y in order:
             iy = P.index(y)
             if iy != iz and leq[iy, iz]:
-                f = f + out[y][1] * Q_MINUS_ONE ** (rho[iy, iz] - 1)
+                _add_into(f, _times_q_minus_one(list(out[y][1]), rho[iy, iz] - 1))
         half = (rho[m, iz] - 1) // 2
-        ks = [f.coefficient(i) for i in range(half + 1)]
-        out[z] = (f, IntPolynomial([ks[0]] + [ks[i] - ks[i - 1] for i in range(1, half + 1)]))
+        ks = [f[i] if i < len(f) else 0 for i in range(half + 1)]
+        out[z] = (_trimmed(f), _trimmed([ks[0]] + [ks[i] - ks[i - 1] for i in range(1, half + 1)]))
     return out
 
 
@@ -312,10 +332,10 @@ def toric_h(P):
     d = _graded_rank(P)
     m = P.index(P.minimum())
     rho = rank_matrix(P)
-    total = IntPolynomial()
+    total = [0] * (d + 1)
     for y, (_, g) in toric_face_polynomials(P).items():
-        total = total + g * Q_MINUS_ONE ** (d - rho[m, P.index(y)])
-    return tuple(reversed(total.padded(d + 1)))
+        _add_into(total, _times_q_minus_one(list(g), d - rho[m, P.index(y)]))
+    return tuple(reversed(total))
 
 
 def toric_h_penultimate_alternating(P):

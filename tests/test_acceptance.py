@@ -251,8 +251,8 @@ def test_criterion_10_toric_machinery(suite_posets):
         for y, (f, _) in toric_face_polynomials(P).items():
             if y == P.minimum():
                 continue
-            coeffs = f.padded(ranks[y])
-            if coeffs != coeffs[::-1]:
+            coeffs = f + (0,) * (ranks[y] - len(f))
+            if len(f) > ranks[y] or coeffs != coeffs[::-1]:
                 failures.append((name, y, "face polynomial not palindromic"))
         if toric.entries[0] != 1:
             failures.append((name, "h_0 != 1"))
@@ -281,7 +281,7 @@ def test_criterion_11_cubical_machinery(suite_posets):
         if d >= 2 and cubical_h_penultimate_direct(P) != hc[d - 1]:
             failures.append((name, "direct formula"))
         ok, residual = hetyei_decomposition_check(P)
-        if not ok or not residual.is_zero():
+        if not ok or any(residual):
             failures.append((name, "atom-upset decomposition"))
         if name == "cycle-4" and hc != (2, 2, 2):
             failures.append((name, hc))

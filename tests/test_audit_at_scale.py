@@ -6,9 +6,10 @@ audit reads, Δ(P̄) and Δ((0̂, y)) for each maximal y, agree record by
 record with the chain-level scans of Δ(P̄) and of the link of y; and the
 atom-link ranks it reads off the top cycles of Δ(Q̄) on cube-boundary-5
 agree with the chain-level scan's on every atom, and with the dense vertex
-link map of `dense_oracle.py` on one atom (about 10 s).  The 730-element
-cube-boundary-6 audit runs in a process of its own, within 25 s and 400 MB
-of peak resident memory, and its report bytes are pinned.
+link map of `dense_oracle.py` on one atom (about 10 s).  The audits of
+cube-boundary-6 (729 elements) and cube-lattice-6 (730) run each in a
+process of its own, within 25 s and 400 MB and within 40 s and 600 MB of
+peak resident memory, and their report bytes are pinned.
 """
 
 import json
@@ -88,17 +89,20 @@ def test_atom_top_ranks_match_vertex_link_maps():
 
 
 # sha256 of json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-# the bytes `posetlab audit` writes per instance, for cube-boundary-6 at p = 101.
-CUBE_BOUNDARY_6_SHA256 = "f0b2a548f1b54c03139b0c0a3eccf426dbde30615321e706d2a84561ca673ecc"
+# the bytes `posetlab audit` writes per instance, at p = 101.
+SIZE_6_AUDITS = [
+    ("cube-boundary", "f0b2a548f1b54c03139b0c0a3eccf426dbde30615321e706d2a84561ca673ecc", 25, 400),
+    ("cube-lattice", "71cba63158f025b2f119468ca1063400e0408f41d0c0a20ad78e2419805f4196", 40, 600),
+]
 
 CHILD = textwrap.dedent(
     """
-    import hashlib, json, resource, time
+    import hashlib, json, resource, sys, time
     from posetlab.audit import audit_poset
     from posetlab.generators import make_family
     from posetlab.linalg import FieldSpec
 
-    P = make_family("cube-boundary", 6)
+    P = make_family(sys.argv[1], 6)
     start = time.perf_counter()
     report = audit_poset(P, FieldSpec(101))
     seconds = time.perf_counter() - start
@@ -113,14 +117,16 @@ CHILD = textwrap.dedent(
 )
 
 
-def test_cube_boundary_6_audit_within_25_s_and_400_mb():
-    """The 730-element audit in a process of its own: every check passes,
-    in under 25 s and 400 MB of peak resident memory, with pinned bytes."""
+@pytest.mark.parametrize("family, sha256, seconds, mb", SIZE_6_AUDITS)
+def test_size_6_audit_within_its_time_and_memory(family, sha256, seconds, mb):
+    """The 729- and 730-element audits, each in a process of its own: every
+    check passes, within the time and peak resident memory bounds, with
+    pinned bytes."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", CHILD, family], env=env, capture_output=True, text=True, check=True)
     got = json.loads(done.stdout)
     assert got["failed"] == []
-    assert got["sha256"] == CUBE_BOUNDARY_6_SHA256
-    assert got["seconds"] < 25, f"audited in {got['seconds']:.1f} s"
-    assert got["rss_mb"] < 400, f"peak RSS {got['rss_mb']:.0f} MB"
+    assert got["sha256"] == sha256
+    assert got["seconds"] < seconds, f"audited in {got['seconds']:.1f} s"
+    assert got["rss_mb"] < mb, f"peak RSS {got['rss_mb']:.0f} MB"
