@@ -1,14 +1,15 @@
 """Finite posets: construction, rank structure, Möbius function, derived posets.
 
 A poset is stored as its irredundant cover list plus a cached boolean
-reachability matrix, so order queries and interval traversals are numpy
-row operations.  The principal down-sets (and up-sets) are also kept as
-Python int bitsets (bit i of down[j] is set iff i <= j); built from covers,
-they come first, in topological order, and the matrix is unpacked from them.
-The cover check, the structural predicates and the interval scans of the
-order complex are set arithmetic on them.  A cover list is checked in one
-pass, and one cover at a time only to name the first bad one.  Heights come
-from one relaxation over the cover arrays.  Interval ranks are longest chain
+reachability matrix, so order queries and interval traversals are numpy row
+operations.  The principal down-sets (and up-sets) are also kept as Python
+int bitsets (bit i of down[j] is set iff i <= j).  Every poset is built from
+its covers, a derived poset from covers read off its parent, so the bitsets
+come first, in topological order, and the matrix is unpacked from them.  The
+cover check, the structural predicates and the interval scans of the order
+complex are set arithmetic on them.  A cover list is checked in one pass,
+and one cover at a time only to name the first bad one.  Heights come from
+one relaxation over the cover arrays.  Interval ranks are longest chain
 lengths above the minimal elements, filled one height level at a time.  The
 Möbius table is filled one height level at a time too, over the comparable
 triples x <= z < y.  Instances are immutable after construction; lazy caches
@@ -55,8 +56,9 @@ class FinitePoset:
 
     __slots__ = ("name", "_elements", "_index", "_covers", "_leq", "_topo", "_cache")
 
-    def __init__(self, elements, leq, covers, topo, name="poset"):
-        # Internal constructor; use from_covers / build_from_covers instead.
+    def __init__(self, elements, leq, covers, topo, down, up, name="poset"):
+        # Called by from_covers, which derives every argument from the covers
+        # after checking them; down and up are the principal bitsets.
         self.name = name
         self._elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self._elements)}
@@ -64,7 +66,7 @@ class FinitePoset:
         leq.flags.writeable = False
         self._leq = leq
         self._topo = tuple(topo)
-        self._cache = {}
+        self._cache = {"down": tuple(down), "up": tuple(up)}
 
     # -- construction ------------------------------------------------------
 
@@ -123,34 +125,7 @@ class FinitePoset:
         packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in up), dtype=np.uint8)
         leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
         covers_sorted = tuple(sorted(zip(map(elements.__getitem__, lo), map(elements.__getitem__, hi))))
-        P = cls(elements, leq, covers_sorted, topo, name=name)
-        P._cache["down"], P._cache["up"] = tuple(down), tuple(up)
-        return P
-
-    @classmethod
-    def _from_leq(cls, elements, leq, name="poset"):
-        """Build from a valid reflexive order matrix (internal, no validation)."""
-        elements = list(elements)
-        if not elements:
-            raise EmptyPosetError("a poset needs at least one element")
-        n = len(elements)
-        # j covers i when i < j and i lies below no other element below j.
-        down = _bitsets(leq.T)
-        parents = [[] for _ in range(n)]
-        children = [[] for _ in range(n)]
-        for j in range(n):
-            strict = down[j] ^ (1 << j)
-            covered = 0
-            for z in _bits(strict):
-                covered |= down[z] ^ (1 << z)
-            children[j] = _bits(strict & ~covered)
-            for i in children[j]:
-                parents[i].append(j)
-        covers = tuple(sorted((elements[i], elements[j]) for j in range(n) for i in children[j]))
-        topo = _toposort(n, parents, children, elements)
-        P = cls(elements, leq.copy(), covers, topo, name=name)
-        P._cache["down"] = down
-        return P
+        return cls(elements, leq, covers_sorted, topo, down, up, name=name)
 
     # -- basic queries -----------------------------------------------------
 
@@ -186,15 +161,11 @@ class FinitePoset:
     def _down_sets(self):
         """Principal down-sets as int bitsets: bit i of entry j is set iff
         element i <= element j."""
-        if "down" not in self._cache:
-            self._cache["down"] = _bitsets(self._leq.T)
         return self._cache["down"]
 
     def _up_sets(self):
         """Principal up-sets as int bitsets: bit j of entry i is set iff
         element i <= element j."""
-        if "up" not in self._cache:
-            self._cache["up"] = _bitsets(self._leq)
         return self._cache["up"]
 
     def index(self, x):
@@ -227,13 +198,13 @@ class FinitePoset:
             return False
 
     def maximal_elements(self):
-        """Elements with empty strict up-set, in element order."""
-        lt = self._leq & ~np.eye(len(self), dtype=bool)
-        return tuple(self._elements[i] for i in np.flatnonzero(~lt.any(axis=1)))
+        """Elements whose up-set holds only themselves, in element order."""
+        up = self._up_sets()
+        return tuple(e for i, e in enumerate(self._elements) if up[i] == 1 << i)
 
     def minimal_elements(self):
-        lt = self._leq & ~np.eye(len(self), dtype=bool)
-        return tuple(self._elements[i] for i in np.flatnonzero(~lt.any(axis=0)))
+        down = self._down_sets()
+        return tuple(e for i, e in enumerate(self._elements) if down[i] == 1 << i)
 
     def atoms(self):
         """Elements covering the minimum."""
@@ -248,8 +219,21 @@ class FinitePoset:
         if not members:
             raise EmptyPosetError("induced subposet would be empty")
         idx = [self.index(x) for x in members]
-        sub = self._leq[np.ix_(idx, idx)]
-        return FinitePoset._from_leq(members, sub, name=name or f"{self.name}|sub")
+        # Members in topological order: the highest one left below j is
+        # maximal there, so j covers it; clearing its down-set leaves the rest.
+        at = np.argsort(self._topo).tolist()
+        order = sorted(range(len(idx)), key=lambda k: at[idx[k]])
+        rows = [idx[k] for k in order]
+        packed = np.packbits(self._leq[np.ix_(rows, rows)].T, axis=1, bitorder="little")
+        down = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        pairs = []
+        for j, rest in enumerate(down):
+            rest ^= 1 << j
+            while rest:
+                z = rest.bit_length() - 1
+                pairs.append((order[z], order[j]))
+                rest &= ~down[z]
+        return _derived(members, pairs, name or f"{self.name}|sub")
 
     def interval(self, x, y):
         """The closed interval [x, y] as a poset."""
@@ -273,9 +257,8 @@ class FinitePoset:
         return self.induced(members, name=f"{self.name}>={x}")
 
     def dual(self):
-        return FinitePoset._from_leq(
-            self._elements, self._leq.T.copy(), name=f"{self.name}^op"
-        )
+        ix = self._index
+        return _derived(self._elements, [(ix[b], ix[a]) for a, b in self._covers], f"{self.name}^op")
 
     def _fresh_id(self, base):
         e = base
@@ -285,14 +268,10 @@ class FinitePoset:
 
     def attach_min(self):
         """Adjoin a new minimum element, "0^" primed until it is fresh."""
-        n = len(self)
-        bot = self._fresh_id("0^")
-        leq = np.zeros((n + 1, n + 1), dtype=bool)
-        leq[1:, 1:] = self._leq
-        leq[0, :] = True
-        return FinitePoset._from_leq(
-            [bot] + list(self._elements), leq, name=f"{self.name}+min"
-        )
+        ix = self._index
+        pairs = [(0, 1 + ix[m]) for m in self.minimal_elements()]
+        pairs += [(1 + ix[a], 1 + ix[b]) for a, b in self._covers]
+        return _derived([self._fresh_id("0^"), *self._elements], pairs, f"{self.name}+min")
 
     def remove_min(self):
         m = self.minimum()
@@ -319,30 +298,33 @@ class FinitePoset:
 
     def interval_poset(self, name=None):
         """Nonempty closed intervals [x, y], ordered by containment."""
-        n = len(self)
-        leq = self._leq
+        leq, ix = self._leq, self._index
         _check_size("an interval poset", int(np.count_nonzero(leq)))
-        pairs = [(i, j) for i in range(n) for j in range(n) if leq[i, j]]
-        lo = np.array([i for i, _ in pairs])
-        hi = np.array([j for _, j in pairs])
-        # [b,c] <= [a,d] iff a <= b and c <= d
-        contain = leq.T[np.ix_(lo, lo)] & leq[np.ix_(hi, hi)]
+        pairs = list(zip(*(side.tolist() for side in np.nonzero(leq))))
+        pos = {p: k for k, p in enumerate(pairs)}
+        covers = []
+        for a, b in self._covers:
+            w, x = ix[a], ix[b]
+            # w is covered by x: [x, y] is covered by [w, y], and [v, w] by [v, x].
+            covers += [(pos[x, y], pos[w, y]) for y in np.flatnonzero(leq[x]).tolist()]
+            covers += [(pos[v, w], pos[v, x]) for v in np.flatnonzero(leq[:, w]).tolist()]
         labels = [f"[{self._elements[i]}::{self._elements[j]}]" for i, j in pairs]
         if len(set(labels)) != len(labels):
             # Element ids that themselves contain '::' can collide; fall back
             # to positional labels.
             labels = [f"[{i}::{j}]" for i, j in pairs]
-        return FinitePoset._from_leq(labels, contain, name=name or f"Int({self.name})")
+        return _derived(labels, covers, name or f"Int({self.name})")
 
 
 def build_from_covers(elements, covers, name="poset"):
     return FinitePoset.from_covers(elements, covers, name=name)
 
 
-def _bitsets(matrix):
-    """The rows of a boolean matrix as int bitsets, column i as bit i."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def _derived(elements, pairs, name):
+    """A derived poset from its covers as index pairs into `elements`.  They
+    go to from_covers in (lower, upper) index order, which fixes the
+    topological order however they were found."""
+    return FinitePoset.from_covers(elements, [(elements[i], elements[j]) for i, j in sorted(pairs)], name)
 
 
 def _bits(mask):

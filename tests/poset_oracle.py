@@ -4,10 +4,11 @@ redundant-cover test one boolean row per cover, the boolean matrix
 product for covers, ranks and Möbius values one cover or one row at a
 time, the meet test on every pair, Boolean intervals by atom supports, cube
 intervals by isomorphism with a template cube lattice (the isomorphism
-test is here too), the toric recursion one pair at a time, and gradedness
-by its own chain-length program.  Kept as the reference the fast paths are
-checked against; small inputs, except in the `large` tier.  `attach_max`
-lives here because only tests adjoin a maximum.
+test is here too), the toric recursion one pair at a time, gradedness
+by its own chain-length program, and the derived posets from their order
+matrices.  Kept as the reference the fast paths are checked against; small
+inputs, except in the `large` tier.  `attach_max` lives here because only
+tests adjoin a maximum.
 """
 
 from itertools import combinations
@@ -26,9 +27,15 @@ from posetlab.errors import (
 )
 from posetlab.generators import cube_face_lattice
 from posetlab.hvectors import _graded_rank
-from posetlab.poset import FinitePoset, _bitsets, _toposort
+from posetlab.poset import FinitePoset, _toposort
 
 _NO_CHAIN = -1
+
+
+def bitsets(matrix):
+    """The rows of a boolean matrix as int bitsets, column i as bit i."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def closure(n, parents, topo):
@@ -79,16 +86,14 @@ def from_covers(elements, covers, name="poset"):
         children[ib].append(ia)
     topo = _toposort(n, parents, children, elements)
     leq = closure(n, parents, topo)
-    down, up = _bitsets(leq.T), _bitsets(leq)
+    down, up = bitsets(leq.T), bitsets(leq)
     for ia, ib in cover_idx:
         between = up[ia] & down[ib] & ~(1 << ia | 1 << ib)
         if between:
             z = (between & -between).bit_length() - 1
             raise RedundantCoverError(elements[ia], elements[ib], elements[z])
     covers_sorted = tuple(sorted((elements[ia], elements[ib]) for ia, ib in cover_idx))
-    P = FinitePoset(elements, leq, covers_sorted, topo, name=name)
-    P._cache["down"], P._cache["up"] = down, up
-    return P
+    return FinitePoset(elements, leq, covers_sorted, topo, down, up, name=name)
 
 
 def _json_list(entry, what, item=str):
@@ -133,7 +138,9 @@ def redundant_cover(elements, covers):
 
 
 def from_leq(elements, leq, name="poset"):
-    """`FinitePoset._from_leq` with the boolean matrix product."""
+    """The poset of a valid reflexive order matrix: the covers by the boolean
+    matrix product, taken in (lower, upper) index order, and the bitsets
+    read off the matrix rows.  The derived posets are checked against it."""
     n = len(elements)
     lt = leq & ~np.eye(n, dtype=bool)
     child = lt & ~np.matmul(lt, lt)
@@ -144,7 +151,20 @@ def from_leq(elements, leq, name="poset"):
         parents[i].append(int(j))
         children[j].append(int(i))
     topo = _toposort(n, parents, children, elements)
-    return FinitePoset(elements, leq.copy(), covers, topo, name=name)
+    return FinitePoset(elements, leq.copy(), covers, topo, bitsets(leq.T), bitsets(leq), name=name)
+
+
+def induced(P, members):
+    idx = [P.index(x) for x in members]
+    return from_leq(list(members), P.leq_matrix[np.ix_(idx, idx)])
+
+
+def attach_min(P):
+    n = len(P)
+    leq = np.zeros((n + 1, n + 1), dtype=bool)
+    leq[1:, 1:] = P.leq_matrix
+    leq[0, :] = True
+    return from_leq([P._fresh_id("0^")] + list(P.elements), leq, name=f"{P.name}+min")
 
 
 def attach_max(P, label="1^"):
@@ -154,7 +174,22 @@ def attach_max(P, label="1^"):
     leq = np.zeros((n + 1, n + 1), dtype=bool)
     leq[:n, :n] = P.leq_matrix
     leq[:, n] = True
-    return FinitePoset._from_leq(list(P.elements) + [P._fresh_id(label)], leq, name=f"{P.name}+max")
+    return from_leq(list(P.elements) + [P._fresh_id(label)], leq, name=f"{P.name}+max")
+
+
+def interval_poset(P):
+    """The nonempty closed intervals of P, from their containment matrix."""
+    n = len(P)
+    leq = P.leq_matrix
+    pairs = [(i, j) for i in range(n) for j in range(n) if leq[i, j]]
+    lo = np.array([i for i, _ in pairs])
+    hi = np.array([j for _, j in pairs])
+    # [b,c] <= [a,d] iff a <= b and c <= d
+    contain = leq.T[np.ix_(lo, lo)] & leq[np.ix_(hi, hi)]
+    labels = [f"[{P.elements[i]}::{P.elements[j]}]" for i, j in pairs]
+    if len(set(labels)) != len(labels):
+        labels = [f"[{i}::{j}]" for i, j in pairs]
+    return from_leq(labels, contain, name=f"Int({P.name})")
 
 
 def rank_matrix(P):

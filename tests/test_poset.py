@@ -100,6 +100,13 @@ def test_construction_errors():
         build_from_covers(["a"], [("a", "a")])
 
 
+def test_induced_names_a_repeated_member():
+    P = build_from_covers(["a", "b"], [("a", "b")])
+    for members in (["a", "a"], ["b", "a", "b"]):
+        with pytest.raises(DuplicateElementError):
+            P.induced(members)
+
+
 # -- rank structure -----------------------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """The poset layer against `poset_oracle.py`, the code it replaced: the
-file loader on valid and faulty files, the redundant-cover check, covers of
-derived posets, ranks, Möbius values, lower Eulerian (with its witness), the
-meet, simplicial and cubical tests, and the toric polynomials, also on
-Python integers throughout.  Drawn instances are small; the `large` tier
+file loader on valid and faulty files, the redundant-cover check, every
+derived poset (covers, topological order, order matrix and bitsets) against
+the one built from its order matrix, ranks, Möbius values, lower Eulerian
+(with its witness), the meet, simplicial and cubical tests, and the toric
+polynomials, also on Python integers throughout.  Drawn instances are small; the `large` tier
 runs the cli-files inputs of 730 elements (`pytest -m large`).
 """
 
@@ -19,6 +20,7 @@ from posetlab.errors import (
     NotLowerGradedError,
     PosetLabError,
     RedundantCoverError,
+    SizeLimitError,
     UnknownElementError,
 )
 from posetlab.generators import boolean_lattice, cube_face_lattice, make_family, suite
@@ -173,12 +175,40 @@ def same_poset(got, want):
     assert got.covers == want.covers
     assert got._topo == want._topo
     assert (got.leq_matrix == want.leq_matrix).all()
+    assert got._down_sets() == want._down_sets()
+    assert got._up_sets() == want._up_sets()
+
+
+def check_derived_posets(P, members):
+    """Every derived poset against the oracle's, built from its order matrix."""
+    leq = P.leq_matrix
+    same_poset(P.induced(members), oracle.induced(P, members))
+    same_poset(P.dual(), oracle.from_leq(list(P.elements), leq.T.copy()))
+    same_poset(P.attach_min(), oracle.attach_min(P))
+    if np.count_nonzero(leq) <= poset_module.MAX_ELEMENTS:
+        same_poset(P.interval_poset(), oracle.interval_poset(P))
+    else:
+        with pytest.raises(SizeLimitError):
+            P.interval_poset()
+    same_poset(P.upset(members[0]), oracle.induced(
+        P, [e for e, up in zip(P.elements, leq[P.index(members[0])]) if up]))
+    strict = leq & ~np.eye(len(P), dtype=bool)
+    maxima = {P.elements[i] for i in np.flatnonzero(~strict.any(axis=1))}
+    rest = [e for e in P.elements if e not in maxima]
+    if rest and (not P.has_minimum or P.minimum() in rest):
+        same_poset(P.remove_maximal(), oracle.induced(P, rest))
+    if P.has_minimum and len(P) > 1:
+        bottom = P.minimum()
+        same_poset(P.remove_min(), oracle.induced(P, [e for e in P.elements if e != bottom]))
+        # the atoms: above the minimum with nothing strictly between
+        above = strict[P.index(bottom)]
+        atoms = above & ~(above.astype(np.int64) @ strict.astype(np.int64)).astype(bool)
+        same_poset(P.remove_atoms(), oracle.induced(
+            P, [e for e, atom in zip(P.elements, atoms) if not atom]))
 
 
 def check_against_oracle(P, members):
-    idx = [P.index(x) for x in members]
-    same_poset(P.induced(members), oracle.from_leq(list(members), P.leq_matrix[np.ix_(idx, idx)]))
-    same_poset(P.dual(), oracle.from_leq(list(P.elements), P.leq_matrix.T.copy()))
+    check_derived_posets(P, members)
 
     assert outcome(lambda: rank_profile(P).rho.tolist()) == outcome(
         lambda: oracle.rank_matrix(P).tolist()
